@@ -12,8 +12,11 @@ MacAddress next_mac() {
 }
 }  // namespace
 
-Interface::Interface(FrameSink& sink, std::string name)
-    : sink_(sink), name_(std::move(name)), mac_(next_mac()) {}
+Interface::Interface(FrameSink& sink, std::string name, std::uint32_t ordinal)
+    : sink_(sink),
+      name_(std::move(name)),
+      ordinal_(ordinal),
+      mac_(next_mac()) {}
 
 Interface::~Interface() {
   if (link_ != nullptr) link_->detach(*this);

@@ -37,8 +37,9 @@ class FrameSink {
 
 class Interface {
  public:
-  /// Creates an interface with a globally unique MAC address.
-  Interface(FrameSink& sink, std::string name);
+  /// Creates an interface with a globally unique MAC address. `ordinal`
+  /// is its position among the owning node's interfaces.
+  Interface(FrameSink& sink, std::string name, std::uint32_t ordinal);
 
   Interface(const Interface&) = delete;
   Interface& operator=(const Interface&) = delete;
@@ -46,6 +47,7 @@ class Interface {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] MacAddress mac() const { return mac_; }
+  [[nodiscard]] std::uint32_t ordinal() const { return ordinal_; }
 
   void configure(IpAddress ip, int prefix_length) {
     ip_ = ip;
@@ -81,6 +83,7 @@ class Interface {
 
   FrameSink& sink_;
   std::string name_;
+  std::uint32_t ordinal_;
   MacAddress mac_;
   IpAddress ip_;
   int prefix_length_ = 24;

@@ -20,12 +20,13 @@ Node::Node(sim::Executive& sim, std::string name)
 
 Interface& Node::add_interface(const std::string& if_name, IpAddress ip,
                                int prefix_length) {
-  auto iface = std::make_unique<Interface>(*this, if_name);
+  auto iface = std::make_unique<Interface>(
+      *this, if_name, static_cast<std::uint32_t>(interfaces_.size()));
   iface->configure(ip, prefix_length);
   iface->set_shard(sim_->shard_id());
   interfaces_.push_back(std::move(iface));
   Interface& ref = *interfaces_.back();
-  iface_state_.try_emplace(&ref);
+  iface_state_.emplace_back();
   // Directly connected subnet route.
   table_.install({ref.prefix(), net::kUnspecified, &ref, 0,
                   routing::RouteKind::kConnected});
@@ -50,8 +51,16 @@ IpAddress Node::primary_address() const {
   return interfaces_.empty() ? net::kUnspecified : interfaces_.front()->ip();
 }
 
-Node::InterfaceState& Node::state_of(Interface& iface) {
-  return iface_state_[&iface];
+Node::InterfaceState& Node::state_of(const Interface& iface) {
+  assert(iface.ordinal() < interfaces_.size() &&
+         interfaces_[iface.ordinal()].get() == &iface);
+  return iface_state_[iface.ordinal()];
+}
+
+const Node::InterfaceState& Node::state_of(const Interface& iface) const {
+  assert(iface.ordinal() < interfaces_.size() &&
+         interfaces_[iface.ordinal()].get() == &iface);
+  return iface_state_[iface.ordinal()];
 }
 
 net::ArpTable& Node::arp_table(Interface& iface) { return state_of(iface).arp; }
@@ -62,13 +71,9 @@ void Node::fail() {
   if (!up_) return;
   up_ = false;
   // A crash loses all volatile link-layer state: ARP caches and the
-  // packets (and retry timers) queued awaiting resolution. Walk the
-  // interfaces in attachment order, not the pointer-keyed state map,
-  // so teardown order never depends on allocation addresses.
-  for (auto& iface : interfaces_) {
-    auto it = iface_state_.find(iface.get());
-    if (it == iface_state_.end()) continue;
-    InterfaceState& st = it->second;
+  // packets (and retry timers) queued awaiting resolution, walked in
+  // interface order.
+  for (InterfaceState& st : iface_state_) {
     st.arp.clear();
     for (auto& [next_hop, pending] : st.pending) {
       (void)next_hop;
@@ -200,8 +205,7 @@ void Node::remove_proxy_arp(Interface& iface, IpAddress addr) {
 }
 
 bool Node::has_proxy_arp(Interface& iface, IpAddress addr) const {
-  auto it = iface_state_.find(&iface);
-  return it != iface_state_.end() && it->second.proxied.contains(addr);
+  return state_of(iface).proxied.contains(addr);
 }
 
 void Node::send_gratuitous_arp(Interface& iface, IpAddress ip,
@@ -297,8 +301,8 @@ void Node::arp_retry(Interface& iface, IpAddress next_hop) {
     st.pending.erase(it);
     for (auto& [packet, hop] : queue) {
       ++counters_.dropped_arp_timeout;
-      send_icmp_error(packet,
-                      net::IcmpUnreachable{net::UnreachCode::kHostUnreachable, {}});
+      send_icmp_error(packet, net::IcmpUnreachable{
+                                  net::UnreachCode::kHostUnreachable, {}});
     }
     return;
   }
@@ -317,7 +321,10 @@ void Node::arp_retry(Interface& iface, IpAddress next_hop) {
 // ---- Receive path ----
 
 void Node::on_frame(Interface& iface, Frame frame) {
-  if (!up_) return;  // a crashed node hears nothing
+  if (!up_) {  // a crashed node hears nothing
+    ++counters_.dropped_node_down;
+    return;
+  }
   if (frame.is_arp()) {
     handle_arp(iface, frame.arp());
     return;
@@ -365,8 +372,8 @@ void Node::forward(Packet packet, Interface& in_iface) {
   const routing::Route* route = table_.lookup(dst);
   if (route == nullptr || route->iface == nullptr) {
     ++counters_.dropped_no_route;
-    send_icmp_error(packet,
-                    net::IcmpUnreachable{net::UnreachCode::kNetUnreachable, {}});
+    send_icmp_error(packet, net::IcmpUnreachable{
+                                net::UnreachCode::kNetUnreachable, {}});
     return;
   }
   const IpAddress next_hop =

@@ -232,7 +232,10 @@ class Node : public net::FrameSink {
     std::uint64_t dropped_ttl = 0;
     std::uint64_t dropped_arp_timeout = 0;
     std::uint64_t icmp_errors_sent = 0;
-    std::uint64_t options_slow_path = 0;  // forwarded datagrams carrying IP options
+    // Forwarded datagrams carrying IP options.
+    std::uint64_t options_slow_path = 0;
+    // Frames that reached the node while it was crashed.
+    std::uint64_t dropped_node_down = 0;
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
   Counters& mutable_counters() { return counters_; }
@@ -270,12 +273,13 @@ class Node : public net::FrameSink {
   void transmit(net::Interface& iface, net::Packet packet,
                 net::IpAddress next_hop);
   void arp_retry(net::Interface& iface, net::IpAddress next_hop);
-  InterfaceState& state_of(net::Interface& iface);
+  InterfaceState& state_of(const net::Interface& iface);
+  const InterfaceState& state_of(const net::Interface& iface) const;
 
   sim::Executive* sim_;
   std::string name_;
   std::vector<std::unique_ptr<net::Interface>> interfaces_;
-  std::unordered_map<const net::Interface*, InterfaceState> iface_state_;
+  std::vector<InterfaceState> iface_state_;  // by interface ordinal
   routing::RoutingTable table_;
   bool up_ = true;
   bool forwarding_ = false;

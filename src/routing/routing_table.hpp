@@ -15,12 +15,16 @@
 // of blackholing — the substrate the routing::dv plane converges on.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ip_address.hpp"
+#include "routing/prefix_map.hpp"
+#include "routing/static_routes.hpp"
 
 namespace mhrp::net {
 class Interface;
@@ -72,6 +76,15 @@ class RoutingTable {
   /// or static install).
   void install(const Route& route);
 
+  /// Attach the topology's shared static routes, as row `row` sees them,
+  /// underneath this table (static_routes.hpp). Static routes this table
+  /// holds for prefixes the row resolves are dropped (the shared route
+  /// replaces them, as a fresh install would), and prefixes this table
+  /// has connected routes for are never resolved from the shared index.
+  /// Attaching again replaces the previous attachment.
+  void attach_static(std::shared_ptr<const StaticRoutes> routes,
+                     std::uint32_t row);
+
   /// Drop every route for `prefix`, all tiers.
   void remove(const net::Prefix& prefix);
 
@@ -87,11 +100,15 @@ class RoutingTable {
   bool update_metric(const net::Prefix& prefix, RouteKind kind, int metric);
 
   /// Drop every route of the given kind (used by DV refresh and by
-  /// host-specific route withdrawal).
+  /// host-specific route withdrawal). kStatic also detaches the shared
+  /// static routes.
   void remove_kind(RouteKind kind);
 
-  /// Longest-prefix match on active (best-tier) routes. Returns nullptr
-  /// when no route covers `dst`.
+  /// Longest-prefix match on active (best-tier) routes, over this
+  /// table's own routes and the attached static routes; on equal length
+  /// the table's own prefix wins. A static route that wins is copied into
+  /// the table on first use. Returns nullptr when no route covers `dst`.
+  /// The pointer stays valid until its prefix is removed from the table.
   [[nodiscard]] const Route* lookup(net::IpAddress dst) const;
 
   /// Exact-prefix fetch of the active route (tests, DV comparisons).
@@ -101,26 +118,58 @@ class RoutingTable {
   [[nodiscard]] const Route* find_kind(const net::Prefix& prefix,
                                        RouteKind kind) const;
 
-  /// Number of distinct prefixes with at least one route.
-  [[nodiscard]] std::size_t size() const { return count_; }
+  /// Number of distinct prefixes the table itself holds; attached static
+  /// routes count once they have been used.
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
 
-  /// The active route of every prefix, for diagnostics and DV
-  /// advertisement. Shadowed fallback routes are not emitted.
+  /// The active route of every prefix the table holds, ascending by
+  /// (length, address), for diagnostics and DV advertisement. Shadowed
+  /// fallback routes and unused attached static routes are not emitted.
   [[nodiscard]] std::vector<Route> routes() const;
 
   [[nodiscard]] std::string to_string() const;
 
  private:
-  /// Routes for one prefix, descending tier; at most one per tier.
-  using Slot = std::vector<Route>;
+  /// Routes for one prefix, one inline slot per tier: [0] connected,
+  /// [1] dynamic/host-specific/redirect, [2] static.
+  struct Slot {
+    std::array<Route, 3> tier;
+    std::uint8_t present = 0;  // bit t set: tier[t] holds a route
+    // The prefix's id in the attached static routes, or PrefixMap::kNone.
+    std::uint32_t static_id = PrefixMap::kNone;
+    [[nodiscard]] const Route& active() const {
+      return tier[static_cast<std::size_t>(__builtin_ctz(present))];
+    }
+  };
 
-  static std::uint32_t key_of(const net::Prefix& p) {
-    return p.address().raw();
+  static std::size_t tier_of(RouteKind kind) {
+    return static_cast<std::size_t>(3 - priority_of(kind));
   }
 
-  // One exact-match map per prefix length; LPM scans lengths descending.
-  std::array<std::unordered_map<std::uint32_t, Slot>, 33> by_length_;
-  std::size_t count_ = 0;
+  Slot* slot_of(const net::Prefix& prefix) const;
+  Slot& emplace_slot(const net::Prefix& prefix) const;
+  void erase_slot(const net::Prefix& prefix);
+  /// The attached static route for `prefix`, copied into the table; or
+  /// nullptr when the attachment has none for it.
+  const Route* materialize(const net::Prefix& prefix) const;
+  const Route* materialize(std::uint32_t id) const;
+  [[nodiscard]] bool suppressed(std::uint32_t id) const;
+  void suppress(const net::Prefix& prefix);
+  [[nodiscard]] std::vector<const Slot*> sorted_slots() const;
+
+  // Own routes: prefix -> index into slots_, whose elements never move
+  // (std::deque), so a returned Route* survives later inserts. Mutable
+  // because lookup() copies attached static routes in on first use;
+  // only the owning node's shard ever touches a table.
+  mutable PrefixMap index_;
+  mutable std::deque<Slot> slots_;
+  mutable std::vector<std::uint32_t> free_slots_;
+
+  std::shared_ptr<const StaticRoutes> static_;
+  std::uint32_t static_row_ = 0;
+  // Sorted ids of attached prefixes this table must not resolve
+  // (connected here, or withdrawn by remove/remove_route).
+  std::vector<std::uint32_t> suppressed_;
 };
 
 }  // namespace mhrp::routing

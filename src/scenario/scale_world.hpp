@@ -93,7 +93,9 @@ struct ScaleRunStats {
   std::uint64_t events_executed = 0;
   std::uint64_t frames_carried = 0;  // across every link
   std::uint64_t bytes_carried = 0;
-  std::uint64_t packets_delivered = 0;  // CBR datagrams reaching a mobile
+  // Every unicast datagram a mobile receives (CBR, and any other
+  // unicast traffic addressed to it), not only CBR datagrams.
+  std::uint64_t packets_delivered = 0;
   std::uint64_t moves = 0;
   std::uint64_t registrations = 0;  // completed mobile registrations
 };

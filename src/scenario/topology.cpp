@@ -168,23 +168,38 @@ void Topology::install_static_routes() {
   const IfaceOwnerMap owners = iface_owners();
   const routing::Graph graph = build_graph();
 
-  // Collect every prefix in the internetwork with a representative node.
-  struct PrefixSite {
-    net::Prefix prefix;
-    int node_index;
-  };
-  std::vector<PrefixSite> sites;
+  // Every prefix in the internetwork with the node ("site") originating
+  // it, in (node, interface) order. Only routers originate subnet
+  // reachability — a host whose address does not match its attachment
+  // point (a visiting mobile host) must stay invisible to routing;
+  // making it reachable is the mobility protocols' job, not the routing
+  // fabric's.
+  std::vector<int> site_node;
+  std::vector<routing::StaticRoutes::Origin> origins;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    // Only routers originate subnet reachability — a host whose address
-    // does not match its attachment point (a visiting mobile host) must
-    // stay invisible to routing; making it reachable is the mobility
-    // protocols' job, not the routing fabric's.
-    if (!nodes_[n]->forwarding()) continue;
+    if (!nodes_[n]->forwarding() || nodes_[n]->interfaces().empty()) continue;
+    const auto site = static_cast<std::uint32_t>(site_node.size());
+    site_node.push_back(static_cast<int>(n));
     for (const auto& iface : nodes_[n]->interfaces()) {
-      sites.push_back({iface->prefix(), static_cast<int>(n)});
+      origins.push_back({iface->prefix(), site});
     }
   }
+  auto routes = std::make_shared<routing::StaticRoutes>(
+      origins, static_cast<std::uint32_t>(site_node.size()));
 
+  std::size_t router_count = 0;
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    if (!is_mobile_[n] && nodes_[n]->forwarding()) ++router_count;
+  }
+  routes->reserve_rows(router_count);
+
+  std::vector<std::pair<node::Node*, std::uint32_t>> rows;
+  routing::ShortestPaths sp;
+  std::vector<routing::StaticRoutes::Entry> entries;
+  std::vector<routing::StaticRoutes::NextHop> hops;
+  constexpr int kUnset = -1;
+  std::vector<int> hop_slot(nodes_.size(), kUnset);  // first hop -> slot
+  std::vector<int> touched;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     node::Node& node = *nodes_[n];
     if (is_mobile_[n]) continue;  // mobile hosts route via registration
@@ -212,42 +227,49 @@ void Topology::install_static_routes() {
       continue;
     }
 
-    // Router: full shortest-path table.
-    const routing::ShortestPaths sp =
-        routing::shortest_paths(graph, static_cast<int>(n));
-    for (const PrefixSite& site : sites) {
-      if (site.node_index == static_cast<int>(n)) continue;
-      if (!sp.reachable(site.node_index)) continue;
-      // Skip prefixes directly connected to us (connected route wins).
-      bool connected = false;
-      for (const auto& iface : node.interfaces()) {
-        if (iface->prefix() == site.prefix) connected = true;
-      }
-      if (connected) continue;
-
-      const int hop = sp.first_hop[static_cast<std::size_t>(site.node_index)];
+    // Router: one next-hop row over every site, from this router's own
+    // shortest-path tree (so its tie-breaks are the ones it would use).
+    routing::shortest_paths(graph, static_cast<int>(n), sp);
+    entries.assign(site_node.size(), {});
+    hops.clear();
+    for (std::size_t s = 0; s < site_node.size(); ++s) {
+      const int target = site_node[s];
+      if (target == static_cast<int>(n) || !sp.reachable(target)) continue;
+      const int hop = sp.first_hop[static_cast<std::size_t>(target)];
       if (hop < 0) continue;
-      // Find our interface sharing a link with `hop`, and the hop's
-      // address on that link.
-      node::Node& hop_node = *nodes_[static_cast<std::size_t>(hop)];
-      net::Interface* out = nullptr;
-      net::IpAddress via;
-      for (const auto& iface : node.interfaces()) {
-        if (!iface->attached()) continue;
-        for (const auto& hop_iface : hop_node.interfaces()) {
-          if (hop_iface->link() == iface->link()) {
-            out = iface.get();
-            via = hop_iface->ip();
+      int& slot = hop_slot[static_cast<std::size_t>(hop)];
+      if (slot == kUnset) {
+        touched.push_back(hop);
+        // Our interface sharing a link with `hop`, and the hop's address
+        // on that link; with several shared links the last pair wins.
+        node::Node& hop_node = *nodes_[static_cast<std::size_t>(hop)];
+        routing::StaticRoutes::NextHop next;
+        for (const auto& iface : node.interfaces()) {
+          if (!iface->attached()) continue;
+          for (const auto& hop_iface : hop_node.interfaces()) {
+            if (hop_iface->link() == iface->link()) {
+              next = {iface.get(), hop_iface->ip()};
+            }
           }
         }
+        slot = next.iface == nullptr ? routing::StaticRoutes::kNoHop
+                                     : static_cast<int>(hops.size());
+        if (next.iface != nullptr) hops.push_back(next);
       }
-      if (out == nullptr) continue;
-      node.routing_table().install(
-          {site.prefix, via, out,
-           static_cast<int>(sp.distance[static_cast<std::size_t>(
-               site.node_index)]),
-           routing::RouteKind::kStatic});
+      if (slot == routing::StaticRoutes::kNoHop) continue;
+      const double metric = sp.distance[static_cast<std::size_t>(target)];
+      if (metric > routing::StaticRoutes::kMaxMetric) {
+        throw std::length_error("Topology: static route metric overflow");
+      }
+      entries[s] = {static_cast<std::uint16_t>(slot),
+                    static_cast<std::uint16_t>(metric)};
     }
+    rows.emplace_back(&node, routes->add_row(entries, hops));
+    for (int hop : touched) hop_slot[static_cast<std::size_t>(hop)] = kUnset;
+    touched.clear();
+  }
+  for (const auto& [node, row] : rows) {
+    node->routing_table().attach_static(routes, row);
   }
 }
 

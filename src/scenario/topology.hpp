@@ -6,7 +6,9 @@
 //
 // Hosts do not get full tables: like real end systems they get a default
 // route via a router on their LAN (mobile hosts re-point it as they
-// move). Routers get complete shortest-path tables.
+// move). Routers share one routing::StaticRoutes per topology — a prefix
+// index plus one compact shortest-path next-hop row per router — and
+// each router's table copies in only the static routes it uses.
 #pragma once
 
 #include <cstdint>
@@ -147,8 +149,9 @@ class Topology {
   // ---- Routing ----
 
   /// Compute shortest paths over the current link graph and install
-  /// static routes: full tables on forwarding nodes, a default route via
-  /// a LAN router on non-forwarding nodes. Mobile hosts are skipped
+  /// static routes: forwarding nodes attach to one shared
+  /// routing::StaticRoutes (a next-hop row each), non-forwarding nodes
+  /// get a default route via a LAN router. Mobile hosts are skipped
   /// entirely (their default route follows their registration).
   void install_static_routes();
 

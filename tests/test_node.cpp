@@ -249,9 +249,44 @@ TEST(NodeStack, RedirectTeachesHostAHostRoute) {
   topo.sim().run_for(sim::seconds(10));
   EXPECT_TRUE(replied);
   EXPECT_EQ(redirected_via, ip("10.1.0.2"));
-  const auto* route = a.routing_table().find(net::Prefix::host(ip("10.9.0.10")));
+  const auto* route =
+      a.routing_table().find(net::Prefix::host(ip("10.9.0.10")));
   ASSERT_NE(route, nullptr);
   EXPECT_EQ(route->kind, routing::RouteKind::kRedirect);
+}
+
+TEST(NodeStack, CrashedNodeCountsTheFramesItDrops) {
+  // A crashed router hears nothing, but every frame that reaches it is
+  // counted, so packets lost at a crashed node have a named cause.
+  TwoLans w;
+  bool warm = false;
+  w.a->ping(ip("10.2.0.10"),
+            [&](const node::Host::PingResult& r) { warm = r.replied; });
+  w.topo.sim().run_for(sim::seconds(5));
+  ASSERT_TRUE(warm);
+  EXPECT_EQ(w.r->counters().dropped_node_down, 0u);
+
+  w.r->fail();
+  const auto received = w.r->counters().ip_received;
+  const auto forwarded = w.r->counters().forwarded;
+  bool replied = true;
+  w.a->ping(ip("10.2.0.10"),
+            [&](const node::Host::PingResult& r) { replied = r.replied; });
+  w.topo.sim().run_for(sim::seconds(5));
+  EXPECT_FALSE(replied);
+  // A's ARP cache still names R, so the echo request reaches R as an IP
+  // frame and is dropped there, uncounted by the receive path.
+  EXPECT_GE(w.r->counters().dropped_node_down, 1u);
+  EXPECT_EQ(w.r->counters().ip_received, received);
+  EXPECT_EQ(w.r->counters().forwarded, forwarded);
+
+  w.r->recover();
+  const auto dropped = w.r->counters().dropped_node_down;
+  w.a->ping(ip("10.2.0.10"),
+            [&](const node::Host::PingResult& r) { replied = r.replied; });
+  w.topo.sim().run_for(sim::seconds(5));
+  EXPECT_TRUE(replied);
+  EXPECT_EQ(w.r->counters().dropped_node_down, dropped);
 }
 
 }  // namespace

@@ -189,8 +189,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Loop-contraction property (§5.3) over loop size and list cap ----
 
+// Both fields are size_t so the struct has no padding: gtest prints the
+// parameter's raw bytes into the test name, and padding bytes would make
+// that name differ from run to run.
 struct LoopCase {
-  int loop_size;
+  std::size_t loop_size;
   std::size_t max_list;
 };
 
@@ -204,7 +207,7 @@ TEST_P(LoopContraction, EveryLoopEventuallyDissolves) {
 
   std::vector<node::Router*> routers;
   std::vector<std::unique_ptr<core::MhrpAgent>> agents;
-  for (int i = 0; i < param.loop_size; ++i) {
+  for (std::size_t i = 0; i < param.loop_size; ++i) {
     auto& r = topo.add_router("C" + std::to_string(i));
     topo.connect(r, lan, net::IpAddress::of(10, 9, 0, std::uint8_t(i + 1)),
                  24);
@@ -218,9 +221,9 @@ TEST_P(LoopContraction, EveryLoopEventuallyDissolves) {
   auto& injector = topo.add_host("inj");
   topo.connect(injector, lan, net::IpAddress::parse("10.9.0.100"), 24);
   topo.install_static_routes();
-  for (int i = 0; i < param.loop_size; ++i) {
-    agents[std::size_t(i)]->cache().update(
-        mh, routers[std::size_t((i + 1) % param.loop_size)]->primary_address());
+  for (std::size_t i = 0; i < param.loop_size; ++i) {
+    agents[i]->cache().update(
+        mh, routers[(i + 1) % param.loop_size]->primary_address());
   }
 
   auto has_cycle = [&] {
