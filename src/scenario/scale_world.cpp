@@ -43,12 +43,11 @@ ScaleWorldOptions validate(ScaleWorldOptions o) {
   if (o.correspondents < 1 || o.correspondents > 200) {
     throw std::invalid_argument("ScaleWorld: correspondents out of range");
   }
-  if (o.shards < 0 || o.shards > 64) {
+  if (o.shards < 1 || o.shards > 64) {
     throw std::invalid_argument("ScaleWorld: shards out of range");
   }
-  if (o.movement_regions == 0) o.movement_regions = std::max(1, o.shards);
-  if (o.movement_regions < 1 ||
-      (o.shards > 0 && o.movement_regions % o.shards != 0)) {
+  if (o.movement_regions == 0) o.movement_regions = o.shards;
+  if (o.movement_regions < 1 || o.movement_regions % o.shards != 0) {
     throw std::invalid_argument(
         "ScaleWorld: movement_regions must be a positive multiple of shards");
   }
@@ -57,17 +56,17 @@ ScaleWorldOptions validate(ScaleWorldOptions o) {
     throw std::invalid_argument(
         "ScaleWorld: more movement regions than cells/routers");
   }
-  if (o.shards > 0) {
+  if (o.shards > 1) {
     // See DESIGN.md §13: trace and the profiler interleave wall-clock
     // observations across workers; loss bursts draw from one shared RNG
     // on links transmitted from several shards.
     if (o.telemetry.trace || o.telemetry.profiler) {
       throw std::invalid_argument(
-          "ScaleWorld: trace/profiler telemetry requires shards == 0");
+          "ScaleWorld: trace/profiler telemetry requires shards == 1");
     }
     if (o.chaos.loss_bursts_per_sec > 0) {
       throw std::invalid_argument(
-          "ScaleWorld: chaos loss bursts require shards == 0");
+          "ScaleWorld: chaos loss bursts require shards == 1");
     }
   }
   return o;
@@ -91,9 +90,7 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
   // shard. Only backbone circuits ever cross shards.
   auto region_of_router = [n, regions](int r) { return (r * regions) / n; };
   auto shard_of_region = [this, regions](int g) {
-    return options.shards == 0
-               ? 0u
-               : static_cast<std::uint32_t>((g * options.shards) / regions);
+    return static_cast<std::uint32_t>((g * options.shards) / regions);
   };
 
   routers.reserve(static_cast<std::size_t>(n));
@@ -213,8 +210,9 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
       };
       // The counting-to-infinity detector files an audit violation; the
       // audit layer is a single-threaded instrument (like the packet
-      // auditor attached below), so sharded runs keep only the counter.
-      if (options.shards == 0) {
+      // auditor attached below), so multi-shard runs keep only the
+      // counter.
+      if (options.shards == 1) {
         process->on_counting_to_infinity = [this, r](const net::Prefix& prefix,
                                                      int metric) {
           analysis::PacketAuditor& auditor = audit::global_auditor();
@@ -283,14 +281,12 @@ ScaleWorld::ScaleWorld(ScaleWorldOptions opts)
 
   // The audit layer's global observer reads every link from every shard;
   // it stays a single-threaded instrument.
-  if (options.shards == 0) audit::auto_attach(topo);
+  if (options.shards == 1) audit::auto_attach(topo);
 
-  if (sim::ShardedExecutive* sharded = topo.sharded_executive()) {
-    // Lookahead = the narrowest latency any cross-shard frame pays, the
-    // widest window the placement can fund (DESIGN.md §13).
-    const sim::Time lookahead = topo.min_cross_shard_latency();
-    if (lookahead > 0) sharded->set_lookahead(lookahead);
-  }
+  // Lookahead = the narrowest latency any cross-shard frame pays, the
+  // widest window the placement can fund (DESIGN.md §13).
+  const sim::Time lookahead = topo.min_cross_shard_latency();
+  if (lookahead > 0) topo.sim().set_lookahead(lookahead);
 
   bind_instruments();
   if (telemetry::TraceCollector* trace = instruments.trace()) {
@@ -467,9 +463,9 @@ void ScaleWorld::arm_chaos() {
   ha_bindings_.assign(mobiles.size(), net::IpAddress());
   binding_changed_at_.assign(mobiles.size(), 0);
   // Staleness bookkeeping and the binding oracle read per-mobile outage
-  // state from the HA's shard; sharded runs skip both (the auditor is
-  // not attached there either), so binding_staleness_ stays empty.
-  if (options.shards != 0) return;
+  // state from the HA's shard; multi-shard runs skip both (the auditor
+  // is not attached there either), so binding_staleness_ stays empty.
+  if (options.shards > 1) return;
   ha->on_binding_changed = [this](net::IpAddress mobile, net::IpAddress fa) {
     const std::uint32_t raw = mobile.raw();
     if (raw < kMobileBase || raw >= kMobileBase + mobiles.size()) return;
@@ -554,7 +550,7 @@ void ScaleWorld::note_fault(const faults::FaultEvent& event) {
         } else {
           // The mobile's outage clock lives on its shard; hop there at
           // the earliest legal cross-shard time (now + lookahead).
-          const sim::Time w = topo.sharded_executive()->lookahead();
+          const sim::Time w = topo.sim().lookahead();
           topo.sim().post(
               mobile_shard_[i], now + w,
               [this, i] { open_outage_for_mobile(i, topo.sim().now()); },
@@ -581,10 +577,10 @@ void ScaleWorld::note_fault(const faults::FaultEvent& event) {
         kCellBase + static_cast<std::uint32_t>(site) * 256 + 1);
     // FA crashes already execute on the site's shard; cell link faults
     // execute on the plane's shard (shard 0), so hop when they differ.
-    if (options.shards == 0 || cell_shard_[site] == topo.sim().shard_id()) {
+    if (cell_shard_[site] == topo.sim().shard_id()) {
       open_outages_for(agent);
     } else {
-      const sim::Time w = topo.sharded_executive()->lookahead();
+      const sim::Time w = topo.sim().lookahead();
       topo.sim().post(
           cell_shard_[site], topo.sim().now() + w,
           [this, agent] { open_outages_for(agent); },
@@ -597,8 +593,8 @@ void ScaleWorld::open_outages_for(net::IpAddress foreign_agent) {
   const sim::Time now = topo.sim().now();
   // Runs on the orphaned cell's shard, and every mobile that can be
   // registered there lives on that shard too (mobiles roam only their
-  // own region's cells). The filter is a no-op serial and keeps worker
-  // shards off foreign mobiles' state sharded.
+  // own region's cells). The filter is a no-op at one shard and keeps
+  // worker shards off foreign mobiles' state at two or more.
   const std::uint32_t self = topo.sim().shard_id();
   for (std::size_t i = 0; i < mobiles.size(); ++i) {
     if (mobile_shard_[i] != self) continue;

@@ -4,16 +4,6 @@
 
 namespace mhrp::scenario {
 
-sim::Executive& Topology::executive_for(std::uint32_t shard) {
-  if (sharded_ == nullptr) {
-    if (shard != 0) {
-      throw std::out_of_range("Topology: shard out of range (single-threaded)");
-    }
-    return *sim_;
-  }
-  return sharded_->shard_view(shard);
-}
-
 node::Router& Topology::add_router(const std::string& name,
                                    std::uint32_t shard) {
   auto router = std::make_unique<node::Router>(executive_for(shard), name);
@@ -99,7 +89,7 @@ void Topology::notify_node_added(node::Node& node) {
 
 net::Link& Topology::add_link(const std::string& name, sim::Time latency,
                               std::uint64_t bandwidth_bps) {
-  auto link = std::make_unique<net::Link>(*sim_, name, latency, bandwidth_bps);
+  auto link = std::make_unique<net::Link>(sim_, name, latency, bandwidth_bps);
   net::Link& ref = *link;
   links_.push_back(std::move(link));
   link_by_name_[name] = &ref;

@@ -1,7 +1,13 @@
-// ShardedExecutive: the multi-core simulation executive (DESIGN.md §13).
+// ShardedExecutive: the simulation executive (DESIGN.md §13). Every
+// node lives on exactly one shard; each shard owns a slab EventQueue and
+// its own clock.
 //
-// The internetwork is partitioned into shards; each shard owns a slab
-// EventQueue, its own clock, and one persistent worker thread. Shards
+// One shard runs inline: run_until() executes events on the caller's
+// thread in (time, seq) order, one at a time, with no worker, barrier or
+// mailbox. stop() ends the run after the current event, and an event
+// profiler may be installed.
+//
+// Two or more shards each get one persistent worker thread and
 // synchronize conservatively in windows of width W = the executive's
 // lookahead (the minimum cross-shard link latency, scenario-provided):
 // every event in [T, T+W) can be executed with no input from any other
@@ -12,7 +18,7 @@
 //   A  the coordinator publishes the window end E = min-next-event + W
 //      and releases the workers;
 //   B  each worker executes its local events with timestamp < E in
-//      (time, seq) order, exactly like the single-threaded Simulator;
+//      (time, seq) order, exactly like the inline loop;
 //      cross-shard work lands in per-(source,target) SPSC mailboxes;
 //   C  each worker drains its own inboxes in ascending source-shard
 //      order into its queue, so sequence numbers — and therefore
@@ -20,14 +26,13 @@
 //
 // Determinism contract: for a FIXED shard count, runs are byte-identical
 // (mailbox drain order and per-shard (time, seq) order are both
-// deterministic). A one-shard ShardedExecutive executes the exact event
-// sequence of the single-threaded Simulator. Across DIFFERENT shard
-// counts, same-timestamp interleaving at shared nodes differs (a
-// cross-shard send is sequenced at inbox-drain time, not transmit
-// time), so data-plane counters may wobble by a few packets; only
-// simulated-time-keyed observables — movement, registration
-// completions, series merged on a canonical (time, mobile) key — are
-// comparable. See DESIGN.md §13 for the full contract.
+// deterministic). Across DIFFERENT shard counts, same-timestamp
+// interleaving at shared nodes differs (a cross-shard send is sequenced
+// at inbox-drain time, not transmit time), so data-plane counters may
+// wobble by a few packets; only simulated-time-keyed observables —
+// movement, registration completions, series merged on a canonical
+// (time, mobile) key — are comparable. See DESIGN.md §13 for the full
+// contract.
 //
 // Cross-shard sends are subject to the lookahead contract: a post()
 // whose timestamp lands inside the still-open window throws
@@ -51,6 +56,7 @@
 #include "sim/event_category.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/executive.hpp"
+#include "sim/profiler.hpp"
 #include "sim/time.hpp"
 #include "util/annotations.hpp"
 
@@ -58,9 +64,10 @@ namespace mhrp::sim {
 
 class ShardedExecutive final : public Executive {
  public:
-  /// `shards` worker threads/queues; `lookahead` is the conservative
-  /// window width W (>= 1 microsecond) — set it to the minimum latency
-  /// of any cross-shard link before the first run.
+  /// `shards` queues (and, from two shards, as many worker threads);
+  /// `lookahead` is the conservative window width W (>= 1 microsecond) —
+  /// set it to the minimum latency of any cross-shard link before the
+  /// first multi-shard run.
   explicit ShardedExecutive(ShardId shards, Time lookahead = millis(1))
       : lookahead_(lookahead),
         barrier_(static_cast<std::ptrdiff_t>(shards) + 1) {
@@ -89,8 +96,8 @@ class ShardedExecutive final : public Executive {
   [[nodiscard]] Time lookahead() const override { return lookahead_; }
 
   /// Per-shard work accounting, read while quiesced. `busy_ns` is the
-  /// worker's own CPU time (CLOCK_THREAD_CPUTIME_ID) spent executing
-  /// events and draining inboxes — barrier waits excluded — so
+  /// running thread's own CPU time (CLOCK_THREAD_CPUTIME_ID) spent
+  /// executing events and draining inboxes — barrier waits excluded — so
   /// executed/busy_ns is the shard's event rate independent of how many
   /// cores the host actually granted (bench_shard reports the sum).
   struct ShardStats {
@@ -178,6 +185,10 @@ class ShardedExecutive final : public Executive {
       throw std::logic_error(
           "ShardedExecutive::run_until called from inside a shard event");
     }
+    if (shards_.size() == 1) {
+      return profiler_ == nullptr ? run_inline<false>(deadline)
+                                  : run_inline<true>(deadline);
+    }
     start_workers();
     const std::uint64_t before = total_executed();
     stopped_.store(false, std::memory_order_relaxed);
@@ -211,8 +222,8 @@ class ShardedExecutive final : public Executive {
     }
 
     if (!stopped_.load(std::memory_order_relaxed) && deadline != kMax) {
-      // Match Simulator::run_until: a drained run leaves the clock at
-      // the deadline, so subsequent after() calls are deadline-relative.
+      // As inline: a drained run leaves the clock at the deadline, so
+      // subsequent after() calls are deadline-relative.
       for (auto& shard : shards_) {
         if (shard->now < deadline) shard->now = deadline;
       }
@@ -237,15 +248,17 @@ class ShardedExecutive final : public Executive {
     return total;
   }
 
-  /// The sharded executive refuses a profiler: per-event wall times from
-  /// concurrent workers would interleave meaninglessly. Profile under the
-  /// single-threaded Simulator instead. Clearing (nullptr) is accepted so
-  /// generic teardown paths need not special-case the executive kind.
+  /// Install (or clear, with nullptr) an event-loop profiler; it takes
+  /// effect at the next run. Only one shard can be profiled: per-event
+  /// wall times from concurrent workers would interleave meaninglessly,
+  /// so from two shards up a profiler is refused. Clearing is always
+  /// accepted so generic teardown paths need not special-case the count.
   void set_profiler(EventLoopProfiler* profiler) override {
-    if (profiler != nullptr) {
+    if (profiler != nullptr && shards_.size() > 1) {
       throw std::logic_error(
-          "ShardedExecutive: profiler unsupported; profile single-threaded");
+          "ShardedExecutive: profiler needs one shard; profile unsharded");
     }
+    profiler_ = profiler;
   }
 
  private:
@@ -326,6 +339,13 @@ class ShardedExecutive final : public Executive {
       return owner_.schedule_local(shard_, when, std::move(action), category);
     }
 
+    [[nodiscard]] EventHandle after(
+        Time delay, Action action,
+        EventCategory category = EventCategory::kGeneral) override {
+      return at(shard_.now + (delay < 0 ? 0 : delay), std::move(action),
+                category);
+    }
+
     bool cancel(const EventHandle& handle) override {
       return shard_.queue.cancel(handle);
     }
@@ -390,14 +410,68 @@ class ShardedExecutive final : public Executive {
   [[nodiscard]] EventHandle schedule_local(Shard& shard, Time when,
                                            Action action,
                                            EventCategory category) {
-    if (when < shard.now) when = shard.now;  // local clamp, as Simulator::at
+    if (when < shard.now) when = shard.now;  // local clamp
     return shard.queue.schedule(when, std::move(action), category);
+  }
+
+  /// Marks the calling thread as running `shard` for the length of an
+  /// inline run, so current_shard() — and with it the run_until guard
+  /// and ShardView's foreign-view check — behaves as on a worker. The
+  /// previous mark is restored on exit, exceptions included.
+  class InlineScope {
+   public:
+    explicit InlineScope(Shard& shard)
+        : previous_(std::exchange(tls_shard_, &shard)) {}
+    ~InlineScope() { tls_shard_ = previous_; }
+    InlineScope(const InlineScope&) = delete;
+    InlineScope& operator=(const InlineScope&) = delete;
+
+   private:
+    Shard* previous_;
+  };
+
+  /// The one-shard run: events with timestamp <= deadline, one at a time
+  /// on the caller's thread, until the queue drains or stop() is called.
+  /// A drained run leaves the clock at the deadline. Instantiated with
+  /// and without profiling so the unprofiled loop carries no per-event
+  /// check.
+  template <bool kProfiled>
+  std::size_t run_inline(Time deadline) {
+    Shard& shard = *shards_.front();
+    shard.serial.assert_held();
+    const std::uint64_t busy_start = thread_cpu_ns();
+    stopped_.store(false, std::memory_order_relaxed);
+    std::size_t executed = 0;
+    {
+      const InlineScope scope(shard);
+      while (!stopped_.load(std::memory_order_relaxed) &&
+             !shard.queue.empty() && shard.queue.next_time() <= deadline) {
+        auto fired = shard.queue.pop();
+        shard.now = fired.when;
+        if constexpr (kProfiled) {
+          const auto started = profiler_->begin_event();
+          fired.action();
+          profiler_->end_event(fired.category, started);
+        } else {
+          fired.action();
+        }
+        ++executed;
+      }
+    }
+    if (!stopped_.load(std::memory_order_relaxed) &&
+        deadline != std::numeric_limits<Time>::max() && shard.now < deadline) {
+      shard.now = deadline;
+    }
+    floor_ = shard.now;
+    shard.executed += executed;
+    shard.busy_ns += thread_cpu_ns() - busy_start;
+    return executed;
   }
 
   /// Execute the shard's local events with timestamp < `window_end`,
   /// advancing its clock — phase B of the window. Newly scheduled local
   /// events inside the window run in the same pass, exactly as they
-  /// would under the single-threaded executive.
+  /// would inline.
   void run_window(Shard& shard, Time window_end)
       MHRP_REQUIRES(shard.serial) {
     while (!shard.queue.empty() && shard.queue.next_time() < window_end) {
@@ -502,6 +576,7 @@ class ShardedExecutive final : public Executive {
   std::mutex error_mu_;
   std::exception_ptr error_;
   bool started_ = false;
+  EventLoopProfiler* profiler_ = nullptr;
 };
 
 }  // namespace mhrp::sim

@@ -12,6 +12,9 @@
 //  * home transparency: at home, zero overhead, always.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "scenario/metrics.hpp"
 #include "scenario/mhrp_world.hpp"
 
@@ -21,13 +24,17 @@ namespace {
 using scenario::MhrpWorld;
 using scenario::MhrpWorldOptions;
 
+// No padding: gtest prints a parameter's raw bytes into each ctest name,
+// so a padding byte would print whatever the stack held. The two 8-byte
+// fields fill the gaps and keep the struct at 32 bytes.
 struct WorldShape {
   int foreign_sites;
   int mobile_hosts;
-  int correspondents;
+  std::int64_t correspondents;
   std::size_t max_list_length;
-  bool forwarding_pointers;
+  std::uint64_t forwarding_pointers;  // 0 or 1
 };
+static_assert(std::has_unique_object_representations_v<WorldShape>);
 
 class MhrpWorldProperty : public ::testing::TestWithParam<WorldShape> {};
 
@@ -44,9 +51,9 @@ TEST_P(MhrpWorldProperty, EveryMobileReachableWhereverItRegisters) {
   MhrpWorldOptions options;
   options.foreign_sites = shape.foreign_sites;
   options.mobile_hosts = shape.mobile_hosts;
-  options.correspondents = shape.correspondents;
+  options.correspondents = static_cast<int>(shape.correspondents);
   options.protocol.max_list_length = shape.max_list_length;
-  options.protocol.forwarding_pointers = shape.forwarding_pointers;
+  options.protocol.forwarding_pointers = shape.forwarding_pointers != 0;
   MhrpWorld w(options);
 
   for (int i = 0; i < shape.mobile_hosts; ++i) {
@@ -66,7 +73,7 @@ TEST_P(MhrpWorldProperty, RandomizedWalkNeverStrandsTheMobileHost) {
   options.mobile_hosts = 1;
   options.correspondents = 1;
   options.protocol.max_list_length = shape.max_list_length;
-  options.protocol.forwarding_pointers = shape.forwarding_pointers;
+  options.protocol.forwarding_pointers = shape.forwarding_pointers != 0;
   options.protocol.seed = 7 + static_cast<std::uint64_t>(shape.foreign_sites);
   MhrpWorld w(options);
   util::Rng rng(options.protocol.seed);
@@ -90,7 +97,7 @@ TEST_P(MhrpWorldProperty, OverheadIsEightPlusFourPerListEntry) {
   options.mobile_hosts = 1;
   options.correspondents = 1;
   options.protocol.max_list_length = shape.max_list_length;
-  options.protocol.forwarding_pointers = shape.forwarding_pointers;
+  options.protocol.forwarding_pointers = shape.forwarding_pointers != 0;
   MhrpWorld w(options);
   ASSERT_TRUE(w.move_and_register(0, 0));
 
@@ -123,9 +130,9 @@ TEST_P(MhrpWorldProperty, CachesConvergeAfterMove) {
   MhrpWorldOptions options;
   options.foreign_sites = shape.foreign_sites;
   options.mobile_hosts = 1;
-  options.correspondents = shape.correspondents;
+  options.correspondents = static_cast<int>(shape.correspondents);
   options.protocol.max_list_length = shape.max_list_length;
-  options.protocol.forwarding_pointers = shape.forwarding_pointers;
+  options.protocol.forwarding_pointers = shape.forwarding_pointers != 0;
   MhrpWorld w(options);
   ASSERT_TRUE(w.move_and_register(0, 0));
 
@@ -151,7 +158,7 @@ TEST_P(MhrpWorldProperty, ZeroOverheadAtHomeAlways) {
   options.mobile_hosts = 1;
   options.correspondents = 1;
   options.protocol.max_list_length = shape.max_list_length;
-  options.protocol.forwarding_pointers = shape.forwarding_pointers;
+  options.protocol.forwarding_pointers = shape.forwarding_pointers != 0;
   MhrpWorld w(options);
   // Roam, then come home — history must not leave residual overhead.
   ASSERT_TRUE(w.move_and_register(0, 0));

@@ -1,9 +1,10 @@
-// ShardedExecutive: the conservative multi-core executive (DESIGN.md
-// §13). The contract under test, in order of importance:
+// ShardedExecutive: the simulation executive (DESIGN.md §13). The
+// contract under test, in order of importance:
 //
-//  * a one-shard ShardedExecutive executes the exact event sequence of
-//    the single-threaded Simulator — ScaleWorld replay digests are
-//    byte-identical between the two;
+//  * one shard runs inline on the caller's thread: stop() ends the run
+//    after the current event, a profiler is accepted, and run_until()
+//    from inside an event is refused (its golden digests live in
+//    test_golden_digest);
 //  * for a FIXED shard count, runs are byte-identical (the window
 //    protocol and the fixed inbox drain order make sequence assignment
 //    deterministic), including with the fault plane armed;
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "scenario/scale_world.hpp"
@@ -27,7 +29,6 @@
 #include "sim/executive.hpp"
 #include "sim/sharded_executive.hpp"
 #include "sim/profiler.hpp"
-#include "sim/simulator.hpp"
 
 namespace mhrp::sim {
 namespace {
@@ -102,7 +103,7 @@ TEST(ShardedExecutive, LookaheadViolationIsHardErrorNotClamp) {
 
 TEST(ShardedExecutive, QuiescedPostIsNotALookaheadViolation) {
   // Between runs no window is open: driver-side posts (scenario setup)
-  // schedule directly, with the Simulator's clamp-to-now semantics.
+  // schedule directly, with the local clamp-to-now semantics.
   ShardedExecutive exec(2, millis(1));
   bool ran = false;
   exec.post(1, 0, [&] { ran = true; });
@@ -153,6 +154,60 @@ TEST(ShardedExecutive, ProfilerIsRefused) {
   EXPECT_THROW(exec.set_profiler(&profiler), std::logic_error);
 }
 
+TEST(ShardedExecutive, OneShardRunsOnTheCallersThread) {
+  ShardedExecutive exec(1);
+  std::thread::id ran_on;
+  std::uint32_t ran_shard = 99;
+  (void)exec.at(millis(1), [&] {
+    ran_on = std::this_thread::get_id();
+    ran_shard = exec.shard_id();
+  });
+  (void)exec.run();
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(ran_shard, 0u);
+}
+
+TEST(ShardedExecutive, OneShardStopLeavesTheRestOfTheWindowPending) {
+  // Two or more shards stop at a window boundary; one shard stops after
+  // the current event, so a later event the window would cover stays
+  // queued.
+  ShardedExecutive exec(1, millis(10));
+  bool later_ran = false;
+  (void)exec.at(millis(1), [&] { exec.stop(); });
+  (void)exec.at(millis(2), [&] { later_ran = true; });
+  EXPECT_EQ(exec.run(), 1u);
+  EXPECT_FALSE(later_ran);
+  EXPECT_EQ(exec.pending_events(), 1u);
+  EXPECT_EQ(exec.now(), millis(1));
+  (void)exec.run();
+  EXPECT_TRUE(later_ran);
+}
+
+TEST(ShardedExecutive, ProfilerIsAcceptedAtOneShard) {
+  EventLoopProfiler profiler;
+  ShardedExecutive one(1);
+  EXPECT_NO_THROW(one.set_profiler(&profiler));
+  (void)one.at(millis(1), [] {}, EventCategory::kLinkDelivery);
+  EXPECT_EQ(one.run(), 1u);
+  EXPECT_EQ(profiler.total_events(), 1u);
+  ShardedExecutive two(2);
+  EXPECT_THROW(two.set_profiler(&profiler), std::logic_error);
+}
+
+TEST(ShardedExecutive, OneShardRunUntilFromInsideAnEventThrows) {
+  ShardedExecutive exec(1);
+  bool threw = false;
+  (void)exec.at(millis(1), [&] {
+    try {
+      (void)exec.run_until(millis(5));
+    } catch (const std::logic_error&) {
+      threw = true;
+    }
+  });
+  (void)exec.run();
+  EXPECT_TRUE(threw);
+}
+
 TEST(ShardedExecutive, StopEndsRunAtWindowBoundary) {
   ShardedExecutive exec(2, millis(1));
   exec.post(0, millis(1), [&] { exec.stop(); });
@@ -194,16 +249,6 @@ std::string run_digest(const ScaleWorldOptions& opt, sim::Time duration) {
   return world.metrics_digest();
 }
 
-TEST(ShardedScaleWorld, OneShardMatchesSingleThreadedByteForByte) {
-  // The acceptance bar for the whole redesign: putting the window
-  // protocol, shard views, and mailboxes under ScaleWorld changes not
-  // one byte of the replay digest when there is only one shard.
-  const std::string serial = run_digest(sharded_options(0), sim::seconds(10));
-  const std::string sharded = run_digest(sharded_options(1), sim::seconds(10));
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, sharded);
-}
-
 TEST(ShardedScaleWorld, FixedShardCountIsDeterministic) {
   const std::string first = run_digest(sharded_options(4), sim::seconds(10));
   const std::string second = run_digest(sharded_options(4), sim::seconds(10));
@@ -243,7 +288,7 @@ TEST(ShardedScaleWorld, RejectsUnshardableConfigurations) {
   sparse.movement_regions = 16;
   sparse.foreign_agents = 8;
   EXPECT_THROW(ScaleWorld{sparse}, std::invalid_argument);
-  // ...and single-threaded instruments stay single-threaded.
+  // ...and single-threaded instruments stay on one shard.
   ScaleWorldOptions traced = sharded_options(2);
   traced.telemetry.trace = true;
   EXPECT_THROW(ScaleWorld{traced}, std::invalid_argument);
@@ -264,7 +309,7 @@ TEST(ShardedScaleWorld, TracerConstructionFailsFast) {
   // ShardedExecutive::set_profiler.
   scenario::Topology sharded(1, 2);
   EXPECT_THROW(scenario::Tracer{sharded}, std::logic_error);
-  scenario::Topology serial(1, 0);
+  scenario::Topology serial(1, 1);
   EXPECT_NO_THROW(scenario::Tracer{serial});
 }
 

@@ -546,7 +546,7 @@ TEST(WalStore, SlicedCompactionMatchesSynchronousSnapshotByteForByte) {
 // ---- HomeStore sync policies ----
 
 TEST(HomeStore, SyncPolicyAcksImmediatelyAndDurably) {
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kSync;
   HomeStore hs(sim, o);
@@ -558,7 +558,7 @@ TEST(HomeStore, SyncPolicyAcksImmediatelyAndDurably) {
 }
 
 TEST(HomeStore, IntervalPolicyDefersAcksUntilTheGroupCommit) {
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kInterval;
   o.sync_interval = sim::millis(50);
@@ -580,7 +580,7 @@ TEST(HomeStore, IntervalPolicyDefersAcksUntilTheGroupCommit) {
 }
 
 TEST(HomeStore, AsyncPolicyAcksBeforeDurability) {
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kAsync;
   o.sync_interval = sim::millis(50);
@@ -593,7 +593,7 @@ TEST(HomeStore, AsyncPolicyAcksBeforeDurability) {
 }
 
 TEST(HomeStore, CrashAndRecoverRestoresDurableRowsOnly) {
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kInterval;
   o.sync_interval = sim::seconds(300);  // no commit before the crash
@@ -618,7 +618,7 @@ TEST(HomeStore, RecoverOnAMountedStoreIsIdempotent) {
   // Regression: recover() on a store that is already up used to re-arm
   // the interval sweep timer on top of its live registration. It must be
   // a no-op — same timer, same stats, no double-fire.
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kInterval;
   o.sync_interval = sim::millis(50);
@@ -647,7 +647,7 @@ TEST(HomeStore, RecoverOnAMountedStoreIsIdempotent) {
 TEST(HomeStore, IntervalWindowCommitsAsOneBatchFrame) {
   // The group-commit window coalesces every append since the last sync
   // into one multi-record frame: one CRC, one disk pass per interval.
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kInterval;
   o.sync_interval = sim::millis(50);
@@ -663,7 +663,7 @@ TEST(HomeStore, IntervalWindowCommitsAsOneBatchFrame) {
 }
 
 TEST(HomeStore, SlicedCompactionRunsInTheBackgroundAndReleasesAcks) {
-  sim::Simulator sim;
+  sim::ShardedExecutive sim(1);
   StoreOptions o = small_store();
   o.sync_policy = SyncPolicy::kInterval;
   o.sync_interval = sim::millis(5);
