@@ -4,6 +4,9 @@
 // packet (de)serialization, and the event queue.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/encapsulation.hpp"
 #include "core/location_cache.hpp"
 #include "net/packet.hpp"
@@ -155,7 +158,7 @@ void BM_EventQueueScheduleAndCancel(benchmark::State& state) {
   sim::Time t = 0;
   for (auto _ : state) {
     // One survivor past every cancelled event, so the single pop below
-    // drains the round's tombstones from the heap.
+    // frees the round's cancelled slots.
     auto keep = q.schedule(t + 1000, [] {});
     for (int i = 0; i < 16; ++i) {
       auto h = q.schedule(t + (i * 7919) % 100, [] {});
@@ -167,5 +170,62 @@ void BM_EventQueueScheduleAndCancel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueScheduleAndCancel);
+
+// Steady-state ("hold model") cases: a queue of kHoldDepth live events;
+// each operation pops the front event and schedules its successor.
+
+constexpr int kHoldDepth = 4096;
+
+// Link-shaped: every link costs the same latency, so events share
+// timestamps — 16 per time here — and timers are re-armed: every fourth
+// operation cancels the oldest of 64 far-future timers and arms a new one.
+void BM_EventQueueLinkShaped(benchmark::State& state) {
+  constexpr sim::Time kLatency = 1024;
+  sim::EventQueue q;
+  for (int i = 0; i < kHoldDepth; ++i) {
+    (void)q.schedule(sim::Time(i / 16) * 4, [] {});
+  }
+  std::vector<sim::EventHandle> timers(64);
+  std::size_t oldest = 0;
+  std::uint64_t op = 0;
+  for (auto _ : state) {
+    sim::EventQueue::Fired fired = q.pop();
+    benchmark::DoNotOptimize(
+        q.schedule(fired.when + kLatency, std::move(fired.action)));
+    if (++op % 4 == 0) {
+      benchmark::DoNotOptimize(q.cancel(timers[oldest]));
+      timers[oldest] =
+          q.schedule(fired.when + sim::seconds(3) + sim::Time(op % 997), [] {});
+      oldest = (oldest + 1) % timers.size();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueLinkShaped);
+
+// Unique timestamps: successors land at random gaps of up to one
+// simulated second, so nearly every pending event has a time of its own.
+void BM_EventQueueUniqueTimes(benchmark::State& state) {
+  std::vector<sim::Time> gaps(1 << 16);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& g : gaps) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    g = sim::Time(1 + x % 1'000'000);
+  }
+  sim::EventQueue q;
+  for (int i = 0; i < kHoldDepth; ++i) {
+    (void)q.schedule(gaps[std::size_t(i)], [] {});
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    sim::EventQueue::Fired fired = q.pop();
+    benchmark::DoNotOptimize(q.schedule(fired.when + gaps[i++ % gaps.size()],
+                                        std::move(fired.action)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueUniqueTimes);
 
 }  // namespace

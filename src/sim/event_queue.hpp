@@ -4,20 +4,37 @@
 // (FIFO by sequence number), which makes every simulation run exactly
 // reproducible — a property the integration and property tests rely on.
 //
-// Storage is a slab of event slots addressed by {slot index, generation}
-// handles. Scheduling an event allocates nothing beyond amortized vector
-// growth (the pre-slab design paid a shared_ptr control block per event):
-// the action lives in a slab slot that is recycled through a free list,
-// and the heap orders 24-byte POD entries. Cancellation is O(1): it bumps
-// the slot's generation, which orphans the heap entry; orphans are
-// skipped lazily at pop time. A handle whose generation no longer matches
-// its slot refers to an event that already fired or was cancelled — slot
+// Events live in a slab of slots addressed by {slot index, generation}
+// handles, recycled through a free list, so scheduling allocates nothing
+// beyond amortized vector growth. The queue is bucketed by timestamp:
+// each distinct pending time owns one bucket {when, head, tail}, a FIFO
+// of slots linked through the slot's `next` field (the same field links
+// a free slot into the free list). A binary min-heap orders the buckets'
+// times, and a flat open-addressed index maps a time to its bucket, with
+// a shortcut for the last bucket appended to (a broadcast to a cell
+// schedules one delivery per host at the same instant). Appends happen
+// in schedule() call order, so a bucket's FIFO *is* sequence order and
+// no sequence number is stored. Links all cost the same latency in the
+// scenarios, so events cluster on shared times: a schedule into an
+// existing time is O(1), and only a new distinct time pays an O(log b)
+// heap push, b being the number of distinct pending times.
+//
+// Cancellation is amortized O(1): it bumps the slot's generation and
+// marks the slot dead, leaving it linked; pop frees dead slots as it
+// reaches them. When dead slots outnumber live ones (past a small
+// floor), one O(n) pass unlinks them all and rebuilds the heap and
+// index, so storage stays proportional to the live events however many
+// timers were cancelled. A handle whose generation no longer matches its
+// slot refers to an event that already fired or was cancelled — slot
 // reuse cannot resurrect it (short of 2^32 reuses of one slot between a
 // handle's creation and its last use, which no simulation approaches).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -28,6 +45,7 @@
 namespace mhrp::sim {
 
 class EventQueue;
+struct EventQueueTestPeer;
 
 /// Opaque handle identifying a scheduled event so it can be cancelled or
 /// queried. Default-constructed handles refer to no event. Handles are
@@ -48,6 +66,7 @@ class EventHandle {
 
  private:
   friend class EventQueue;
+  friend struct EventQueueTestPeer;
   EventHandle(const EventQueue* queue, std::uint32_t slot,
               std::uint32_t generation)
       : queue_(queue), slot_(slot), generation_(generation) {}
@@ -57,13 +76,14 @@ class EventHandle {
   std::uint32_t generation_ = 0;
 };
 
-/// Min-heap of (time, sequence) ordered events over a slab of action
-/// slots. Cancellation is O(1); cancelled heap entries are dropped lazily.
+/// Timestamp-bucketed event queue over a slab of action slots: one FIFO
+/// per distinct pending time, a min-heap over those times. Cancellation
+/// is amortized O(1); cancelled slots are unlinked lazily.
 class EventQueue {
  public:
   using Action = std::function<void()>;
 
-  EventQueue() = default;
+  EventQueue() : index_(kMinIndex) {}
   // Handles point at their queue, so the queue must not move or be copied.
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -78,10 +98,9 @@ class EventQueue {
       Time when, Action action,
       EventCategory category = EventCategory::kGeneral) {
     serial_.assert_held();
-    std::uint32_t slot = 0;
-    if (free_head_ != kNoSlot) {
-      slot = free_head_;
-      free_head_ = slots_[slot].next_free;
+    std::uint32_t slot = free_head_;
+    if (slot != kNone) {
+      free_head_ = slots_[slot].next;
     } else {
       slot = static_cast<std::uint32_t>(slots_.size());
       // mhrp-lint: allow(hotpath-alloc) amortized slab growth (file comment)
@@ -91,9 +110,14 @@ class EventQueue {
     s.action = std::move(action);
     s.category = category;
     s.live = true;
-    // mhrp-lint: allow(hotpath-alloc) amortized heap growth; entries are POD
-    heap_.push_back(HeapItem{when, next_seq_++, slot, s.generation});
-    sift_up(heap_.size() - 1);
+    s.next = kNone;
+    Bucket& b = buckets_[bucket_for(when)];
+    if (b.head == kNone) {
+      b.head = slot;
+    } else {
+      slots_[b.tail].next = slot;
+    }
+    b.tail = slot;
     ++live_;
     return EventHandle(this, slot, s.generation);
   }
@@ -104,8 +128,13 @@ class EventQueue {
   MHRP_HOT_PATH bool cancel(const EventHandle& handle) {
     serial_.assert_held();
     if (!pending(handle)) return false;
-    release(handle.slot_);
+    Slot& s = slots_[handle.slot_];
+    s.action = nullptr;
+    s.live = false;
+    ++s.generation;  // wraps at 2^32, see file comment
     --live_;
+    ++dead_;  // still linked into its bucket until pop or compact() frees it
+    if (dead_ > live_ && dead_ >= kCompactFloor) compact();
     return true;
   }
 
@@ -124,8 +153,7 @@ class EventQueue {
   /// Timestamp of the next live event. Requires !empty().
   [[nodiscard]] MHRP_HOT_PATH Time next_time() {
     serial_.assert_held();
-    drop_orphans();
-    return heap_.front().when;
+    return buckets_[front_bucket()].when;
   }
 
   /// A popped event: its firing time, its action, and its category tag.
@@ -140,73 +168,232 @@ class EventQueue {
   /// non-pending while the action runs (and cancelling it returns false).
   MHRP_HOT_PATH Fired pop() {
     serial_.assert_held();
-    drop_orphans();
-    const HeapItem top = heap_.front();
-    pop_root();
-    Action action = std::move(slots_[top.slot].action);
-    const EventCategory category = slots_[top.slot].category;
-    release(top.slot);
-    --live_;
-    return Fired{top.when, std::move(action), category};
+    return take_head(front_bucket());
+  }
+
+  /// pop() when the next live event is due by `deadline` (inclusive);
+  /// nothing otherwise, including when the queue is empty. The executive
+  /// loops use it to find the front bucket once per event.
+  MHRP_HOT_PATH std::optional<Fired> pop_if_due(Time deadline) {
+    serial_.assert_held();
+    if (live_ == 0) return std::nullopt;
+    const std::uint32_t b = front_bucket();
+    if (buckets_[b].when > deadline) return std::nullopt;
+    return take_head(b);
   }
 
  private:
-  friend struct EventQueueTestPeer;  // generation-wraparound tests
+  friend struct EventQueueTestPeer;  // wraparound and storage tests
 
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  // compact() runs once dead slots outnumber live ones and number at
+  // least this many, so a queue holding a handful of events does not
+  // compact on every cancel. Each pass is paid for by the >= max(live,
+  // floor) cancels since the last one.
+  static constexpr std::uint32_t kCompactFloor = 64;
+  static constexpr std::size_t kMinIndex = 16;  // power of two
 
   struct Slot {
     Action action;
     std::uint32_t generation = 0;
-    std::uint32_t next_free = kNoSlot;
+    std::uint32_t next = kNone;  // bucket FIFO link, or free-list link
     EventCategory category = EventCategory::kGeneral;  // fits slot padding
     bool live = false;
   };
 
-  struct HeapItem {
+  /// The FIFO of one pending time. A free bucket links the bucket free
+  /// list through `head`.
+  struct Bucket {
     Time when;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t generation;
+    std::uint32_t head;
+    std::uint32_t tail;
   };
 
-  static bool before(const HeapItem& a, const HeapItem& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
+  /// A time-heap entry; times in the heap are distinct, so `when` alone
+  /// orders it.
+  struct HeapItem {
+    Time when;
+    std::uint32_t bucket;
+  };
+
+  /// An index cell; `bucket == kNone` marks it empty.
+  struct IndexEntry {
+    Time when = 0;
+    std::uint32_t bucket = kNone;
+  };
+
+  /// The bucket of time `when`, created (heap push, index insert) when
+  /// no pending event has that time yet.
+  MHRP_HOT_PATH std::uint32_t bucket_for(Time when) MHRP_REQUIRES(serial_) {
+    if (last_ != kNone && buckets_[last_].when == when) return last_;
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = home(when);
+    for (; index_[i].bucket != kNone; i = (i + 1) & mask) {
+      if (index_[i].when == when) return last_ = index_[i].bucket;
+    }
+    std::uint32_t b = free_bucket_;
+    if (b != kNone) {
+      free_bucket_ = buckets_[b].head;
+    } else {
+      b = static_cast<std::uint32_t>(buckets_.size());
+      // mhrp-lint: allow(hotpath-alloc) amortized bucket-pool growth; pool size tracks distinct pending times
+      buckets_.emplace_back();
+    }
+    buckets_[b] = Bucket{when, kNone, kNone};
+    index_[i] = IndexEntry{when, b};
+    // mhrp-lint: allow(hotpath-alloc) amortized time-heap growth; entries are POD
+    heap_.push_back(HeapItem{when, b});
+    sift_up(heap_.size() - 1);
+    // mhrp-lint: allow(hotpath-alloc) amortized index growth: doubles past load 1/2
+    if (2 * heap_.size() > index_.size()) rebuild_index(2 * index_.size());
+    return last_ = b;
   }
 
-  /// Free a slot: clear the action, invalidate outstanding handles and
-  /// heap entries by bumping the generation, and push it on the free list.
-  void release(std::uint32_t slot) MHRP_REQUIRES(serial_) {
+  /// The front bucket with a live head: frees the dead slots at the
+  /// front and retires buckets left empty. Requires !empty().
+  std::uint32_t front_bucket() MHRP_REQUIRES(serial_) {
+    while (true) {
+      const std::uint32_t b = heap_.front().bucket;
+      Bucket& bucket = buckets_[b];
+      while (bucket.head != kNone && !slots_[bucket.head].live) {
+        const std::uint32_t dead = bucket.head;
+        bucket.head = slots_[dead].next;
+        free_slot(dead);
+        --dead_;
+      }
+      if (bucket.head != kNone) return b;
+      remove_front_bucket();
+    }
+  }
+
+  /// Unlink and release the live head of bucket `b`. The emptied bucket
+  /// stays at the front until the next front_bucket() call, so an action
+  /// that schedules at the current time appends to it.
+  Fired take_head(std::uint32_t b) MHRP_REQUIRES(serial_) {
+    Bucket& bucket = buckets_[b];
+    const std::uint32_t slot = bucket.head;
     Slot& s = slots_[slot];
+    bucket.head = s.next;
+    Fired fired{bucket.when, std::move(s.action), s.category};
     s.action = nullptr;
     s.live = false;
     ++s.generation;  // wraps at 2^32, see file comment
-    s.next_free = free_head_;
+    free_slot(slot);
+    --live_;
+    return fired;
+  }
+
+  void free_slot(std::uint32_t slot) MHRP_REQUIRES(serial_) {
+    slots_[slot].next = free_head_;
     free_head_ = slot;
   }
 
-  /// A heap entry is an orphan when its slot was cancelled (and possibly
-  /// reused since): the generations no longer match.
-  [[nodiscard]] bool orphan(const HeapItem& item) const {
-    return slots_[item.slot].generation != item.generation;
+  void free_bucket(std::uint32_t b) MHRP_REQUIRES(serial_) {
+    if (last_ == b) last_ = kNone;
+    buckets_[b].head = free_bucket_;
+    free_bucket_ = b;
   }
 
-  void drop_orphans() MHRP_REQUIRES(serial_) {
-    while (!heap_.empty() && orphan(heap_.front())) pop_root();
-  }
-
-  void pop_root() MHRP_REQUIRES(serial_) {
+  void remove_front_bucket() MHRP_REQUIRES(serial_) {
+    const std::uint32_t b = heap_.front().bucket;
     heap_.front() = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_down(0);
+    index_erase(buckets_[b].when);
+    free_bucket(b);
   }
+
+  /// Unlink every dead slot, retire the buckets left empty, and rebuild
+  /// the time heap and the index over the survivors. Firing order is
+  /// untouched: live slots keep their relative order in each bucket.
+  void compact() MHRP_REQUIRES(serial_) {
+    std::size_t kept = 0;
+    for (std::size_t h = 0; h < heap_.size(); ++h) {
+      const HeapItem item = heap_[h];
+      Bucket& bucket = buckets_[item.bucket];
+      std::uint32_t head = kNone;
+      std::uint32_t tail = kNone;
+      for (std::uint32_t i = bucket.head; i != kNone;) {
+        const std::uint32_t next = slots_[i].next;
+        if (slots_[i].live) {
+          slots_[i].next = kNone;
+          if (tail == kNone) {
+            head = i;
+          } else {
+            slots_[tail].next = i;
+          }
+          tail = i;
+        } else {
+          free_slot(i);
+        }
+        i = next;
+      }
+      bucket.head = head;
+      bucket.tail = tail;
+      if (head == kNone) {
+        free_bucket(item.bucket);
+      } else {
+        heap_[kept++] = item;
+      }
+    }
+    heap_.resize(kept);
+    for (std::size_t i = kept / 2; i-- > 0;) sift_down(i);
+    dead_ = 0;
+    rebuild_index(std::bit_ceil(std::max(kMinIndex, 4 * kept)));
+  }
+
+  // --- when -> bucket index: linear probing, backward-shift erase ----
+
+  [[nodiscard]] std::size_t home(Time when) const MHRP_REQUIRES(serial_) {
+    // Fibonacci hashing: times are multiples of link latencies, so the
+    // high bits of the product spread them where the low bits would not.
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(when) * 0x9E3779B97F4A7C15ull) >>
+        index_shift_);
+  }
+
+  /// Re-create the index with `capacity` cells (a power of two) over the
+  /// buckets in the time heap.
+  void rebuild_index(std::size_t capacity) MHRP_REQUIRES(serial_) {
+    std::vector<IndexEntry>(capacity).swap(index_);
+    index_shift_ = 64 - std::countr_zero(capacity);
+    const std::size_t mask = capacity - 1;
+    for (const HeapItem& item : heap_) {
+      std::size_t i = home(item.when);
+      while (index_[i].bucket != kNone) i = (i + 1) & mask;
+      index_[i] = IndexEntry{item.when, item.bucket};
+    }
+  }
+
+  void index_erase(Time when) MHRP_REQUIRES(serial_) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = home(when);
+    while (index_[i].when != when || index_[i].bucket == kNone) {
+      i = (i + 1) & mask;
+    }
+    // Shift later members of the probe run back over the hole, so no
+    // tombstones are needed.
+    for (std::size_t j = (i + 1) & mask; index_[j].bucket != kNone;
+         j = (j + 1) & mask) {
+      const std::size_t want = home(index_[j].when);
+      // The entry at j may fill hole i unless its home lies in (i, j].
+      const bool stays = i <= j ? (i < want && want <= j)
+                                : (i < want || want <= j);
+      if (!stays) {
+        index_[i] = index_[j];
+        i = j;
+      }
+    }
+    index_[i].bucket = kNone;
+  }
+
+  // --- time heap -----------------------------------------------------
 
   void sift_up(std::size_t i) MHRP_REQUIRES(serial_) {
     const HeapItem item = heap_[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (!before(item, heap_[parent])) break;
+      if (heap_[parent].when <= item.when) break;
       heap_[i] = heap_[parent];
       i = parent;
     }
@@ -219,8 +406,10 @@ class EventQueue {
     while (true) {
       std::size_t child = 2 * i + 1;
       if (child >= n) break;
-      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-      if (!before(heap_[child], item)) break;
+      if (child + 1 < n && heap_[child + 1].when < heap_[child].when) {
+        ++child;
+      }
+      if (item.when <= heap_[child].when) break;
       heap_[i] = heap_[child];
       i = child;
     }
@@ -233,9 +422,14 @@ class EventQueue {
   // verify it at zero runtime cost.
   util::ExecutiveSerial serial_;
   std::vector<Slot> slots_ MHRP_GUARDED_BY(serial_);
+  std::vector<Bucket> buckets_ MHRP_GUARDED_BY(serial_);
   std::vector<HeapItem> heap_ MHRP_GUARDED_BY(serial_);
-  std::uint32_t free_head_ MHRP_GUARDED_BY(serial_) = kNoSlot;
-  std::uint64_t next_seq_ MHRP_GUARDED_BY(serial_) = 0;
+  std::vector<IndexEntry> index_ MHRP_GUARDED_BY(serial_);
+  int index_shift_ MHRP_GUARDED_BY(serial_) = 64 - std::countr_zero(kMinIndex);
+  std::uint32_t free_head_ MHRP_GUARDED_BY(serial_) = kNone;
+  std::uint32_t free_bucket_ MHRP_GUARDED_BY(serial_) = kNone;
+  std::uint32_t last_ MHRP_GUARDED_BY(serial_) = kNone;  // last appended bucket
+  std::size_t dead_ MHRP_GUARDED_BY(serial_) = 0;  // cancelled, still linked
   std::size_t live_ = 0;  // read by empty()/size() observers
 };
 

@@ -444,16 +444,16 @@ class ShardedExecutive final : public Executive {
     std::size_t executed = 0;
     {
       const InlineScope scope(shard);
-      while (!stopped_.load(std::memory_order_relaxed) &&
-             !shard.queue.empty() && shard.queue.next_time() <= deadline) {
-        auto fired = shard.queue.pop();
-        shard.now = fired.when;
+      while (!stopped_.load(std::memory_order_relaxed)) {
+        auto fired = shard.queue.pop_if_due(deadline);
+        if (!fired) break;
+        shard.now = fired->when;
         if constexpr (kProfiled) {
           const auto started = profiler_->begin_event();
-          fired.action();
-          profiler_->end_event(fired.category, started);
+          fired->action();
+          profiler_->end_event(fired->category, started);
         } else {
-          fired.action();
+          fired->action();
         }
         ++executed;
       }
@@ -474,10 +474,10 @@ class ShardedExecutive final : public Executive {
   /// would inline.
   void run_window(Shard& shard, Time window_end)
       MHRP_REQUIRES(shard.serial) {
-    while (!shard.queue.empty() && shard.queue.next_time() < window_end) {
-      auto fired = shard.queue.pop();
-      shard.now = fired.when;
-      fired.action();
+    // window_end is exclusive; times are integers.
+    while (auto fired = shard.queue.pop_if_due(window_end - 1)) {
+      shard.now = fired->when;
+      fired->action();
       ++shard.executed;
     }
   }

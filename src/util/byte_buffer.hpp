@@ -143,13 +143,13 @@ class ByteReader {
 
  private:
   void need(std::size_t count) const {
-    if (pos_ + count > data_.size()) {
-      throw CodecError("ByteReader: truncated buffer (need " +
-                       std::to_string(count) + " at offset " +
-                       std::to_string(pos_) + ", size " +
-                       std::to_string(data_.size()) + ")");
-    }
+    if (pos_ + count > data_.size()) throw_truncated(count);
   }
+
+  // Out of line (byte_buffer.cpp): with the message building inlined into
+  // every accessor, gcc 12 -O2 reports a false-positive -Warray-bounds on
+  // the reads that follow the check.
+  [[noreturn]] void throw_truncated(std::size_t count) const;
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
