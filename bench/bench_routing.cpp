@@ -18,7 +18,9 @@
 //     rerouting dividend (the static world blackholes FA0's cell);
 //   * DV protocol overhead in steady state: update messages sent per
 //     router-second and total route changes (wall_seconds sits next to
-//     BENCH_scale.json's points for the cost of a process per router).
+//     BENCH_scale.json's points for the cost of a process per router);
+//   * suspected counting-to-infinity episodes (DESIGN.md §14.5) summed
+//     over the routers.
 //
 // Usage: bench_routing [--small] [--out PATH]
 //   --small    one tiny sweep point (CI smoke)
@@ -51,6 +53,7 @@ struct RoutingResult {
   std::uint64_t dv_updates_received = 0;
   std::uint64_t dv_route_changes = 0;
   std::uint64_t dv_routes_withdrawn = 0;
+  std::uint64_t dv_counting_to_infinity = 0;
   double updates_per_router_s = 0;
   std::vector<double> convergence_s;  // one per fault epoch
   std::uint64_t dv_delivered_during_outage = 0;
@@ -112,6 +115,7 @@ RoutingResult run_point(int routers, double steady_secs) {
     r.dv_updates_received += process->stats().updates_received;
     r.dv_route_changes += process->stats().route_changes;
     r.dv_routes_withdrawn += process->stats().routes_withdrawn;
+    r.dv_counting_to_infinity += process->stats().counting_to_infinity;
   }
   r.updates_per_router_s = double(r.dv_updates_sent) /
                            double(routers) / r.sim_seconds;
@@ -148,6 +152,8 @@ void write_json(const std::string& path, bool small,
                  static_cast<unsigned long long>(r.dv_route_changes));
     std::fprintf(f, "      \"dv_routes_withdrawn\": %llu,\n",
                  static_cast<unsigned long long>(r.dv_routes_withdrawn));
+    std::fprintf(f, "      \"dv_counting_to_infinity\": %llu,\n",
+                 static_cast<unsigned long long>(r.dv_counting_to_infinity));
     std::fprintf(f, "      \"updates_per_router_sec\": %.3f,\n",
                  r.updates_per_router_s);
     std::fprintf(f, "      \"convergence_s\": [");

@@ -119,7 +119,10 @@ bool DvProcess::iface_up(const net::Interface& iface) const {
 
 std::vector<std::uint8_t> DvProcess::encode_update(
     const net::Interface& out_iface) const {
-  util::ByteWriter w;
+  util::ByteWriter w(2 + kEntrySize * (node_.interfaces().size() +
+                                       host_routes_.size() +
+                                       withdrawing_.size() +
+                                       learned_routes_.size()));
   std::size_t count = 0;
   const std::size_t count_at = w.size();
   w.u16(0);  // patched below
@@ -145,16 +148,17 @@ std::vector<std::uint8_t> DvProcess::encode_update(
   for (const auto& [addr, rounds] : withdrawing_) {
     emit(net::Prefix::host(addr), kInfinity);
   }
-  // Learned routes: split horizon with poisoned reverse toward the
-  // route's own interface; timed-out routes poison everywhere until
-  // garbage collection deletes them.
-  for (const auto& [prefix, entry] : routes_) {
+  // Learned routes, ascending: split horizon with poisoned reverse
+  // toward the route's own interface; timed-out routes poison
+  // everywhere until garbage collection deletes them.
+  for (std::size_t i = 0; i < learned_routes_.size(); ++i) {
+    const Entry& entry = learned_routes_[i];
     if (options_.split_horizon && entry.iface == &out_iface &&
         !entry.poisoned()) {
-      if (options_.poisoned_reverse) emit(prefix, kInfinity);
+      if (options_.poisoned_reverse) emit(learned_prefixes_[i], kInfinity);
       continue;
     }
-    emit(prefix, entry.poisoned() ? kInfinity : entry.metric);
+    emit(learned_prefixes_[i], entry.poisoned() ? kInfinity : entry.metric);
   }
 
   w.patch_u16(count_at, static_cast<std::uint16_t>(count));
@@ -195,8 +199,55 @@ bool DvProcess::poison(const net::Prefix& prefix, Entry& entry) {
   (void)node_.routing_table().remove_route(prefix, kind_of(prefix));
   ++stats_.routes_withdrawn;
   note_route_change(prefix, kInfinity);
-  arm_sweep();  // the GC deadline may now be the earliest
   return true;
+}
+
+DvProcess::Slot DvProcess::find_slot(const net::Prefix& prefix,
+                                     std::size_t hint) const {
+  const std::size_t n = learned_prefixes_.size();
+  // The slot lower_bound would return is `hint` exactly when the key
+  // before it is smaller and the key at it is not.
+  std::size_t index = hint;
+  if (hint > n || (hint > 0 && !(learned_prefixes_[hint - 1] < prefix)) ||
+      (hint < n && learned_prefixes_[hint] < prefix)) {
+    index = static_cast<std::size_t>(
+        std::lower_bound(learned_prefixes_.begin(), learned_prefixes_.end(),
+                         prefix) -
+        learned_prefixes_.begin());
+  }
+  return {index, index < n && learned_prefixes_[index] == prefix};
+}
+
+void DvProcess::insert_slot(std::size_t index, const net::Prefix& prefix,
+                            const Entry& entry) {
+  const auto at = static_cast<std::ptrdiff_t>(index);
+  learned_prefixes_.insert(learned_prefixes_.begin() + at, prefix);
+  learned_routes_.insert(learned_routes_.begin() + at, entry);
+}
+
+void DvProcess::forget_slot(std::size_t index) {
+  const net::Prefix& prefix = learned_prefixes_[index];
+  if (!learned_routes_[index].poisoned()) {
+    (void)node_.routing_table().remove_route(prefix, kind_of(prefix));
+  }
+  const auto at = static_cast<std::ptrdiff_t>(index);
+  learned_prefixes_.erase(learned_prefixes_.begin() + at);
+  learned_routes_.erase(learned_routes_.begin() + at);
+}
+
+void DvProcess::forget_new_connected_prefixes() {
+  const auto& ifaces = node_.interfaces();
+  for (; interfaces_seen_ < ifaces.size(); ++interfaces_seen_) {
+    const Slot slot = find_slot(ifaces[interfaces_seen_]->prefix(), 0);
+    if (slot.found) forget_slot(slot.index);
+  }
+}
+
+bool DvProcess::is_own_prefix(const net::Prefix& prefix) const {
+  for (const auto& iface : node_.interfaces()) {
+    if (iface->prefix() == prefix) return true;
+  }
+  return prefix.is_host_route() && host_routes_.contains(prefix.address());
 }
 
 void DvProcess::on_update(const net::UdpDatagram& datagram,
@@ -204,56 +255,51 @@ void DvProcess::on_update(const net::UdpDatagram& datagram,
   if (node_.owns_address(header.src)) return;  // our own broadcast
   ++stats_.updates_received;
   util::ByteReader r(datagram.data);
-  std::uint16_t count = 0;
-  try {
-    count = r.u16();
-  } catch (const util::CodecError&) {
+  // A datagram is applied whole or not at all: a truncated one is
+  // rejected before any entry reaches the table.
+  if (r.remaining() < 2) {
     ++stats_.malformed_updates;
     return;
   }
+  const std::uint16_t count = r.u16();
+  if (r.remaining() < std::size_t{count} * kEntrySize) {
+    ++stats_.malformed_updates;
+    return;
+  }
+  if (interfaces_seen_ != node_.interfaces().size()) {
+    forget_new_connected_prefixes();
+  }
   const sim::Time now = node_.sim().now();
   bool changed = false;
+  std::size_t hint = 0;
   for (std::uint16_t i = 0; i < count; ++i) {
-    net::Prefix prefix;
-    int metric = 0;
-    try {
-      net::IpAddress addr(r.u32());
-      int length = r.u8();
-      metric = r.u8();
-      if (length > 32) continue;
-      prefix = net::Prefix(addr, length);
-    } catch (const util::CodecError&) {
-      ++stats_.malformed_updates;
-      return;
-    }
+    const net::IpAddress addr(r.u32());
+    const int length = r.u8();
+    const int metric = r.u8();
+    if (length > 32) continue;
+    const net::Prefix prefix(addr, length);
     const int candidate = std::min(metric + 1, kInfinity);
 
-    // Never override our own connected subnets or originated routes.
-    bool own = false;
-    for (const auto& own_iface : node_.interfaces()) {
-      if (own_iface->prefix() == prefix) own = true;
-    }
-    if (own || (prefix.is_host_route() &&
-                host_routes_.contains(prefix.address()))) {
-      continue;
-    }
-
-    auto it = routes_.find(prefix);
-    if (it == routes_.end()) {
+    const Slot slot = find_slot(prefix, hint);
+    hint = slot.found ? slot.index + 1 : slot.index;
+    if (!slot.found) {
       if (candidate >= kInfinity) continue;  // poison for an unknown route
+      // Never override our own connected subnets or originated routes
+      // (the table never holds them, so only a miss can be one).
+      if (is_own_prefix(prefix)) continue;
       Entry entry;
       entry.metric = candidate;
       entry.from = header.src;
       entry.iface = &iface;
       entry.heard_at = now;
-      routes_.emplace(prefix, entry);
+      insert_slot(slot.index, prefix, entry);
       install(prefix, entry);
       note_route_change(prefix, candidate);
       changed = true;
       continue;
     }
 
-    Entry& entry = it->second;
+    Entry& entry = learned_routes_[slot.index];
     const bool from_current_next_hop = entry.from == header.src;
     if (!from_current_next_hop && candidate >= entry.metric) continue;
 
@@ -263,6 +309,7 @@ void DvProcess::on_update(const net::UdpDatagram& datagram,
       if (!entry.poisoned()) {
         ++stats_.poisons_received;
         changed |= poison(prefix, entry);
+        arm_sweep();  // its GC deadline may now be the earliest
       }
       continue;
     }
@@ -292,33 +339,39 @@ void DvProcess::on_update(const net::UdpDatagram& datagram,
       changed = true;
     }
   }
-  if (!routes_.empty() && !sweep_.armed()) arm_sweep();
+  if (!learned_routes_.empty() && !sweep_.armed()) arm_sweep();
   if (changed) schedule_triggered();
 }
 
 void DvProcess::sweep() {
   const sim::Time now = node_.sim().now();
   bool changed = false;
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    Entry& entry = it->second;
+  // One compaction pass: slots [0, kept) hold the survivors in order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < learned_routes_.size(); ++i) {
+    Entry& entry = learned_routes_[i];
     if (!entry.poisoned() && now - entry.heard_at >= options_.route_timeout) {
       ++stats_.routes_expired;
-      changed |= poison(it->first, entry);
-      ++it;
+      changed |= poison(learned_prefixes_[i], entry);
     } else if (entry.poisoned() &&
                now - entry.poisoned_at >= options_.gc_delay) {
-      it = routes_.erase(it);
-    } else {
-      ++it;
+      continue;  // garbage-collected
     }
+    if (kept != i) {
+      learned_prefixes_[kept] = learned_prefixes_[i];
+      learned_routes_[kept] = entry;
+    }
+    ++kept;
   }
+  learned_prefixes_.resize(kept);
+  learned_routes_.resize(kept);
   arm_sweep();
   if (changed) schedule_triggered();
 }
 
 void DvProcess::arm_sweep() {
   sim::Time next = -1;
-  for (const auto& [prefix, entry] : routes_) {
+  for (const Entry& entry : learned_routes_) {
     const sim::Time deadline = entry.poisoned()
                                    ? entry.poisoned_at + options_.gc_delay
                                    : entry.heard_at + options_.route_timeout;
@@ -338,12 +391,8 @@ void DvProcess::advertise_host_route(net::IpAddress addr, bool enabled) {
     withdrawing_.erase(addr);
     // If a peer's advertisement for this /32 was learned earlier, our
     // origination (metric 0) supersedes it.
-    auto it = routes_.find(net::Prefix::host(addr));
-    if (it != routes_.end()) {
-      (void)node_.routing_table().remove_route(it->first,
-                                               kind_of(it->first));
-      routes_.erase(it);
-    }
+    const Slot slot = find_slot(net::Prefix::host(addr), 0);
+    if (slot.found) forget_slot(slot.index);
   } else if (host_routes_.erase(addr) > 0) {
     // Poison for a few rounds so neighbors flush immediately.
     withdrawing_[addr] = kWithdrawRounds;
@@ -363,9 +412,13 @@ void DvProcess::handle_link_state(net::Interface& iface, bool up) {
     // poison shows up in our next (triggered) update on the surviving
     // interfaces, and the static fallback tier takes over locally until
     // an alternate path is learned.
-    for (auto& [prefix, entry] : routes_) {
-      if (entry.iface == &iface) (void)poison(prefix, entry);
+    bool withdrew = false;
+    for (std::size_t i = 0; i < learned_routes_.size(); ++i) {
+      if (learned_routes_[i].iface == &iface) {
+        withdrew |= poison(learned_prefixes_[i], learned_routes_[i]);
+      }
     }
+    if (withdrew) arm_sweep();
   }
   // Either way the picture changed (a connected subnet came or went):
   // advertise soon. The neighbor on the other end of the link saw the
@@ -379,12 +432,14 @@ void DvProcess::handle_node_state(bool up) {
   // originated host routes, poison bookkeeping. Withdraw what we had
   // installed (the static fallback tier resumes) and start over; the
   // agent layer re-originates host routes as bindings are rebuilt.
-  for (auto& [prefix, entry] : routes_) {
-    if (!entry.poisoned()) {
+  for (std::size_t i = 0; i < learned_routes_.size(); ++i) {
+    if (!learned_routes_[i].poisoned()) {
+      const net::Prefix& prefix = learned_prefixes_[i];
       (void)node_.routing_table().remove_route(prefix, kind_of(prefix));
     }
   }
-  routes_.clear();
+  learned_prefixes_.clear();
+  learned_routes_.clear();
   host_routes_.clear();
   withdrawing_.clear();
   sweep_.cancel();
@@ -396,11 +451,9 @@ void DvProcess::handle_node_state(bool up) {
 }
 
 std::size_t DvProcess::reachable_routes() const {
-  std::size_t n = 0;
-  for (const auto& [prefix, entry] : routes_) {
-    if (!entry.poisoned()) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(std::count_if(
+      learned_routes_.begin(), learned_routes_.end(),
+      [](const Entry& entry) { return !entry.poisoned(); }));
 }
 
 }  // namespace mhrp::routing::dv

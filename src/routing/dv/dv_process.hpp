@@ -17,14 +17,23 @@
 // domain originates a /32 for each disconnected mobile host via
 // advertise_host_route() and poisons it on withdrawal.
 //
+// Learned routes live in one flat table sorted by ascending prefix (a
+// RIP routing table kept in order): an update's learned-route section
+// arrives in that same order, so each lookup first tries the slot after
+// the previous hit and falls back to a binary search; inserts are
+// positional and the GC sweep compacts in one pass. The table never
+// holds a connected subnet or a host route originated here, so those
+// are only checked when a lookup misses.
+//
 // Determinism contract: no wall clock; every random draw (periodic
 // jitter, triggered-update delay) comes from one per-process seeded
-// RNG; all iteration that reaches the wire or the table walks ordered
-// containers (std::map/std::set) or construction-ordered vectors, so
-// advertisement bodies are insert-order invariant. Timers live on the
-// node's executive (its shard view under sharding); updates to
-// neighbors on other shards ride the ordinary Link frame path, i.e.
-// the existing cross-shard mailbox protocol.
+// RNG; all iteration that reaches the wire or the table walks the
+// sorted route table, ordered containers (std::map/std::set) or
+// construction-ordered vectors, so advertisement bodies are
+// insert-order invariant. Timers live on the node's executive (its
+// shard view under sharding); updates to neighbors on other shards
+// ride the ordinary Link frame path, i.e. the existing cross-shard
+// mailbox protocol.
 #pragma once
 
 #include <cstdint>
@@ -130,13 +139,33 @@ class DvProcess {
     [[nodiscard]] bool poisoned() const { return poisoned_at >= 0; }
   };
 
+  /// Where `prefix` sits in the learned table: its slot when `found`,
+  /// else the slot it would be inserted at. `hint` is tried before the
+  /// binary search.
+  struct Slot {
+    std::size_t index = 0;
+    bool found = false;
+  };
+  [[nodiscard]] Slot find_slot(const net::Prefix& prefix,
+                               std::size_t hint) const;
+  void insert_slot(std::size_t index, const net::Prefix& prefix,
+                   const Entry& entry);
+  /// Drop the entry in `index` without a route change (it was
+  /// superseded by an own prefix); withdraws its forwarding route.
+  void forget_slot(std::size_t index);
+  /// Enforce the table invariant for interfaces added since the last
+  /// call: a learned copy of a now-connected subnet is forgotten.
+  void forget_new_connected_prefixes();
+  [[nodiscard]] bool is_own_prefix(const net::Prefix& prefix) const;
+
   void on_update(const net::UdpDatagram& datagram, const net::IpHeader& header,
                  net::Interface& iface);
   [[nodiscard]] std::vector<std::uint8_t> encode_update(
       const net::Interface& out_iface) const;
   /// Mark `entry` unreachable now: withdraw from the forwarding table,
   /// start its GC clock, count the change. Returns true when the entry
-  /// was live before.
+  /// was live before. The caller re-arms the sweep (its GC deadline may
+  /// now be the earliest).
   bool poison(const net::Prefix& prefix, Entry& entry);
   void install(const net::Prefix& prefix, const Entry& entry);
   void note_route_change(const net::Prefix& prefix, int metric);
@@ -155,7 +184,11 @@ class DvProcess {
   sim::OneShotTimer periodic_;   // re-armed per firing with fresh jitter
   sim::OneShotTimer triggered_;
   sim::OneShotTimer sweep_;
-  std::map<net::Prefix, Entry> routes_;
+  // The learned table: learned_prefixes_ is sorted ascending without
+  // duplicates and learned_prefixes_[i] is the key of learned_routes_[i].
+  std::vector<net::Prefix> learned_prefixes_;
+  std::vector<Entry> learned_routes_;
+  std::size_t interfaces_seen_ = 0;  // see forget_new_connected_prefixes
   std::set<net::IpAddress> host_routes_;  // locally originated /32s
   /// Withdrawn host routes still being poisoned; value = rounds left.
   std::map<net::IpAddress, int> withdrawing_;

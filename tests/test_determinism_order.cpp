@@ -5,11 +5,13 @@
 // sequences and pins the exact output bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "analysis/cache_inspector.hpp"
 #include "core/location_cache.hpp"
+#include "dv_rig.hpp"
 #include "routing/routing_table.hpp"
 
 namespace mhrp {
@@ -108,6 +110,51 @@ TEST(DeterministicOrder, CacheAuditDetailIsInsertOrderInvariant) {
       "map slot for 10.0.0.6 points at LRU node for 10.0.0.2; ";
   EXPECT_EQ(a, expected);
   EXPECT_EQ(b, expected);
+}
+
+// Two routers learn the same routes from neighbors whose datagrams list
+// them in opposite orders (and arrive in opposite neighbor order); every
+// advertisement either router then sends must be the same bytes, with
+// the learned section in ascending prefix order.
+TEST(DeterministicOrder, DvAdvertisementIsInsertOrderInvariant) {
+  using dvtest::DvEntry;
+  using dvtest::DvRig;
+  using dvtest::pfx;
+  const std::vector<DvEntry> from_west = {{pfx("10.9.0.0/16"), 1},
+                                          {pfx("10.9.3.7/32"), 2},
+                                          {pfx("10.20.0.0/24"), 3},
+                                          {pfx("11.0.0.0/8"), 1}};
+  const std::vector<DvEntry> from_east = {{pfx("10.0.0.0/8"), 5},
+                                          {pfx("10.9.0.0/24"), 2},
+                                          {pfx("10.9.3.0/24"), 1},
+                                          {pfx("12.1.0.0/16"), 4}};
+  auto reversed = [](std::vector<DvEntry> entries) {
+    std::reverse(entries.begin(), entries.end());
+    return entries;
+  };
+
+  DvRig a;
+  a.feed(DvRig::kWest, from_west);
+  a.feed(DvRig::kEast, from_east);
+  DvRig b;
+  b.feed(DvRig::kEast, reversed(from_east));
+  b.feed(DvRig::kWest, reversed(from_west));
+
+  for (auto side : {DvRig::kWest, DvRig::kEast, DvRig::kNorth}) {
+    const auto body_a = a.advertisement_bytes(side);
+    ASSERT_FALSE(body_a.empty()) << "side " << side;
+    EXPECT_EQ(body_a, b.advertisement_bytes(side)) << "side " << side;
+  }
+  std::vector<DvEntry> expected = dvtest::connected_section();
+  expected.insert(expected.end(), {{pfx("10.0.0.0/8"), 6},
+                                   {pfx("10.9.0.0/16"), 2},
+                                   {pfx("10.9.0.0/24"), 3},
+                                   {pfx("10.9.3.0/24"), 2},
+                                   {pfx("10.9.3.7/32"), 3},
+                                   {pfx("10.20.0.0/24"), 4},
+                                   {pfx("11.0.0.0/8"), 2},
+                                   {pfx("12.1.0.0/16"), 5}});
+  EXPECT_EQ(a.advertisement(DvRig::kNorth), expected);
 }
 
 }  // namespace

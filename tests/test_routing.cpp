@@ -1,6 +1,9 @@
 // Unit tests: longest-prefix-match table and shortest paths; plus the
-// distance-vector service with §3 host-specific routes.
+// distance-vector service with §3 host-specific routes, and its route
+// table driven by hand-built update datagrams (tests/dv_rig.hpp).
 #include <gtest/gtest.h>
+
+#include "dv_rig.hpp"
 
 #include "routing/dijkstra.hpp"
 #include "routing/dv/dv_process.hpp"
@@ -273,6 +276,243 @@ TEST(DistanceVector, RoutesExpireWhenNeighborGoesSilent) {
   const auto* route = w.r1->routing_table().lookup(ip("10.3.0.5"));
   EXPECT_EQ(route, nullptr);
   EXPECT_GE(w.dv1->stats().routes_expired, 1u);
+}
+
+// ---- DvProcess route table, one operation at a time ----
+
+using dvtest::DvEntry;
+using dvtest::DvRig;
+using dvtest::pfx;
+
+/// `expected` after the connected-subnet section.
+std::vector<DvEntry> with_connected(std::vector<DvEntry> expected) {
+  std::vector<DvEntry> out = dvtest::connected_section();
+  out.insert(out.end(), expected.begin(), expected.end());
+  return out;
+}
+
+TEST(DvTable, LearnsRouteAndIgnoresPoisonForUnknownPrefix) {
+  DvRig rig;
+  rig.feed(DvRig::kWest, {{pfx("10.9.2.0/24"), 1}, {pfx("10.9.1.0/24"), 16}});
+  const routing::Route* route = rig.installed(pfx("10.9.2.0/24"));
+  ASSERT_NE(route, nullptr);
+  EXPECT_EQ(route->next_hop, rig.ip_of(DvRig::kWest));
+  EXPECT_EQ(route->metric, 2);
+  EXPECT_EQ(route->kind, RouteKind::kDynamic);
+  EXPECT_EQ(rig.installed(pfx("10.9.1.0/24")), nullptr);
+  EXPECT_EQ(rig.dv->reachable_routes(), 1u);
+  EXPECT_EQ(rig.dv->stats().route_changes, 1u);
+  EXPECT_EQ(rig.dv->stats().poisons_received, 0u);
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth),
+            with_connected({{pfx("10.9.2.0/24"), 2}}));
+  // Split horizon with poisoned reverse toward the route's own LAN.
+  EXPECT_EQ(rig.advertisement(DvRig::kWest),
+            with_connected({{pfx("10.9.2.0/24"), 16}}));
+}
+
+TEST(DvTable, BetterMetricFromAnotherNeighborReplacesRoute) {
+  DvRig rig;
+  const auto p = pfx("10.9.5.0/24");
+  rig.feed(DvRig::kWest, {{p, 3}});
+  rig.feed(DvRig::kEast, {{p, 4}});  // worse elsewhere: ignored
+  EXPECT_EQ(rig.installed(p)->next_hop, rig.ip_of(DvRig::kWest));
+  EXPECT_EQ(rig.installed(p)->metric, 4);
+  rig.feed(DvRig::kEast, {{p, 1}});
+  const routing::Route* route = rig.installed(p);
+  ASSERT_NE(route, nullptr);
+  EXPECT_EQ(route->next_hop, rig.ip_of(DvRig::kEast));
+  EXPECT_EQ(route->iface, rig.neighbors[DvRig::kEast].router_iface);
+  EXPECT_EQ(route->metric, 2);
+  EXPECT_EQ(rig.dv->stats().route_changes, 2u);
+  // Poisoned reverse now points east, not west.
+  EXPECT_EQ(rig.advertisement(DvRig::kWest), with_connected({{p, 2}}));
+  EXPECT_EQ(rig.advertisement(DvRig::kEast), with_connected({{p, 16}}));
+}
+
+TEST(DvTable, MetricRiseFromNextHopIsFollowedAndSuspected) {
+  DvRig rig;
+  const auto p = pfx("10.9.7.0/24");
+  std::vector<std::pair<net::Prefix, int>> suspected;
+  rig.dv->on_counting_to_infinity = [&](const net::Prefix& prefix, int m) {
+    suspected.emplace_back(prefix, m);
+  };
+  rig.feed(DvRig::kWest, {{p, 1}});
+  rig.feed(DvRig::kWest, {{p, 2}});
+  rig.feed(DvRig::kWest, {{p, 3}});
+  EXPECT_EQ(rig.dv->stats().counting_to_infinity, 0u);
+  rig.feed(DvRig::kWest, {{p, 4}});  // third consecutive rise
+  EXPECT_EQ(rig.installed(p)->metric, 5);
+  EXPECT_EQ(rig.dv->stats().counting_to_infinity, 1u);
+  ASSERT_EQ(suspected.size(), 1u);
+  EXPECT_EQ(suspected[0], std::make_pair(p, 5));
+  // A fall resets the streak: three more rises are needed.
+  rig.feed(DvRig::kWest, {{p, 2}});
+  rig.feed(DvRig::kWest, {{p, 3}});
+  rig.feed(DvRig::kWest, {{p, 4}});
+  EXPECT_EQ(rig.dv->stats().counting_to_infinity, 1u);
+  EXPECT_EQ(rig.installed(p)->metric, 5);
+}
+
+TEST(DvTable, PoisonFromNextHopWithdrawsRoute) {
+  DvRig rig;
+  const auto p = pfx("10.9.3.0/24");
+  const auto q = pfx("10.9.4.0/24");
+  rig.feed(DvRig::kWest, {{p, 1}, {q, 1}});
+  rig.feed(DvRig::kEast, {{p, 16}});  // not the next hop: ignored
+  ASSERT_NE(rig.installed(p), nullptr);
+  rig.feed(DvRig::kWest, {{p, 16}});
+  EXPECT_EQ(rig.installed(p), nullptr);
+  EXPECT_NE(rig.installed(q), nullptr);
+  EXPECT_EQ(rig.dv->reachable_routes(), 1u);
+  EXPECT_EQ(rig.dv->stats().poisons_received, 1u);
+  EXPECT_EQ(rig.dv->stats().routes_withdrawn, 1u);
+  // The poison is passed on everywhere until garbage collection.
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth),
+            with_connected({{p, 16}, {q, 2}}));
+  // A fresh path revives the poisoned entry.
+  rig.feed(DvRig::kEast, {{p, 2}});
+  EXPECT_EQ(rig.installed(p)->metric, 3);
+  EXPECT_EQ(rig.dv->reachable_routes(), 2u);
+}
+
+TEST(DvTable, SweepCollectsSeveralEntriesInOnePass) {
+  DvRig rig;
+  const auto a = pfx("10.9.1.0/24");
+  const auto b = pfx("10.9.2.0/24");
+  const auto c = pfx("10.9.3.0/24");
+  const auto d = pfx("10.9.4.0/24");
+  const auto e = pfx("10.9.5.0/24");
+  rig.feed(DvRig::kWest, {{e, 1}, {d, 1}, {c, 1}, {b, 1}, {a, 1}});
+  // Keep a, c and e fresh; b and d go silent at t ~ 0.
+  auto refresh = [&] { rig.feed(DvRig::kWest, {{a, 1}, {c, 1}, {e, 1}}); };
+  for (int i = 0; i < 3; ++i) {
+    rig.run(sim::millis(995));
+    refresh();
+  }
+  // Timed out at 3 s: b and d are poisoned, still advertised.
+  EXPECT_EQ(rig.dv->stats().routes_expired, 2u);
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth),
+            with_connected({{a, 2}, {b, 16}, {c, 2}, {d, 16}, {e, 2}}));
+  for (int i = 0; i < 2; ++i) {
+    rig.run(sim::millis(995));
+    refresh();
+  }
+  // Both share one GC deadline (5 s): one sweep deletes both and keeps
+  // the survivors in order.
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth),
+            with_connected({{a, 2}, {c, 2}, {e, 2}}));
+  EXPECT_EQ(rig.dv->reachable_routes(), 3u);
+  // The compacted table still takes inserts in the middle.
+  rig.feed(DvRig::kEast, {{d, 1}, {b, 1}});
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth),
+            with_connected({{a, 2}, {b, 2}, {c, 2}, {d, 2}, {e, 2}}));
+}
+
+TEST(DvTable, LinkDownPoisonsOnlyRoutesLearnedThroughIt) {
+  DvRig rig;
+  const auto a = pfx("10.9.1.0/24");
+  const auto b = pfx("10.9.2.0/24");
+  const auto c = pfx("10.9.3.0/24");
+  const auto d = pfx("10.9.4.0/24");
+  const auto e = pfx("10.9.5.0/24");
+  rig.feed(DvRig::kEast, {{a, 1}, {c, 1}, {e, 1}});
+  rig.feed(DvRig::kWest, {{b, 1}, {d, 1}});
+  rig.neighbors[DvRig::kWest].link->fail();
+  EXPECT_EQ(rig.installed(b), nullptr);
+  EXPECT_EQ(rig.installed(d), nullptr);
+  EXPECT_NE(rig.installed(a), nullptr);
+  EXPECT_NE(rig.installed(e), nullptr);
+  EXPECT_EQ(rig.dv->reachable_routes(), 3u);
+  EXPECT_EQ(rig.dv->stats().routes_withdrawn, 2u);
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth),
+            std::vector<DvEntry>({{pfx("10.0.1.0/24"), 16},
+                                  {pfx("10.0.2.0/24"), 0},
+                                  {pfx("10.0.3.0/24"), 0},
+                                  {a, 2},
+                                  {b, 16},
+                                  {c, 2},
+                                  {d, 16},
+                                  {e, 2}}));
+  // The poisoned entries are collected gc_delay after the fault.
+  rig.run(sim::millis(2100));
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth).size(), 6u);
+}
+
+TEST(DvTable, RebootClearsLearnedRoutes) {
+  DvRig rig;
+  rig.feed(DvRig::kWest, {{pfx("10.9.1.0/24"), 1}, {pfx("10.9.2.0/24"), 3}});
+  rig.feed(DvRig::kWest, {{pfx("10.9.2.0/24"), 16}});
+  rig.dv->advertise_host_route(net::IpAddress::parse("10.0.3.77"), true);
+  rig.run(sim::millis(5));
+  rig.router->fail();
+  rig.router->recover();
+  EXPECT_EQ(rig.dv->reachable_routes(), 0u);
+  EXPECT_EQ(rig.installed(pfx("10.9.1.0/24")), nullptr);
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth), dvtest::connected_section());
+  // A cleared table learns again from scratch.
+  rig.feed(DvRig::kEast, {{pfx("10.9.2.0/24"), 1}});
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth),
+            with_connected({{pfx("10.9.2.0/24"), 2}}));
+}
+
+TEST(DvTable, OriginatedHostRouteSupersedesLearnedHostRoute) {
+  DvRig rig;
+  const auto mh = net::IpAddress::parse("10.0.3.77");
+  const auto host = net::Prefix::host(mh);
+  rig.feed(DvRig::kWest, {{pfx("10.9.1.0/24"), 1}, {host, 2}});
+  ASSERT_NE(rig.installed(host), nullptr);
+  EXPECT_EQ(rig.installed(host)->kind, RouteKind::kHostSpecific);
+
+  rig.dv->advertise_host_route(mh, true);
+  EXPECT_EQ(rig.installed(host), nullptr);
+  EXPECT_EQ(rig.dv->reachable_routes(), 1u);
+  // A neighbor's copy never displaces our own origination.
+  rig.feed(DvRig::kWest, {{host, 1}});
+  EXPECT_EQ(rig.installed(host), nullptr);
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth),
+            with_connected({{host, 0}, {pfx("10.9.1.0/24"), 2}}));
+}
+
+TEST(DvTable, InterfaceAddedLaterDropsLearnedCopyOfItsSubnet) {
+  DvRig rig;
+  const auto stub = pfx("10.9.8.0/24");
+  rig.feed(DvRig::kWest, {{stub, 1}, {pfx("10.9.9.0/24"), 1}});
+  ASSERT_NE(rig.installed(stub), nullptr);
+
+  auto& lan = rig.topo.add_link("stub", sim::millis(1));
+  (void)rig.topo.connect(*rig.router, lan,
+                         net::IpAddress::parse("10.9.8.1"), 24);
+  rig.feed(DvRig::kWest, {{stub, 1}, {pfx("10.9.9.0/24"), 1}});
+  EXPECT_EQ(rig.installed(stub), nullptr);
+  EXPECT_EQ(rig.router->routing_table().find(stub)->kind,
+            RouteKind::kConnected);
+  EXPECT_EQ(rig.dv->reachable_routes(), 1u);
+  // The subnet is advertised once, as the fourth connected subnet.
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth),
+            with_connected({{stub, 0}, {pfx("10.9.9.0/24"), 2}}));
+}
+
+TEST(DvTable, TruncatedUpdateIsRejectedWhole) {
+  DvRig rig;
+  auto body = dvtest::encode_update({{pfx("10.9.1.0/24"), 1},
+                                     {pfx("10.9.2.0/24"), 1},
+                                     {pfx("10.9.3.0/24"), 1}});
+  body.resize(body.size() - 3);  // the last entry is cut short
+  rig.feed_raw(DvRig::kWest, body);
+  EXPECT_EQ(rig.dv->stats().malformed_updates, 1u);
+  EXPECT_EQ(rig.dv->reachable_routes(), 0u);
+  EXPECT_EQ(rig.installed(pfx("10.9.1.0/24")), nullptr);
+  // Nothing half-applied outlives the route timeout.
+  rig.run(sim::seconds(10));
+  EXPECT_EQ(rig.installed(pfx("10.9.1.0/24")), nullptr);
+  EXPECT_EQ(rig.advertisement(DvRig::kNorth), dvtest::connected_section());
+
+  // A whole update afterwards is learned, and times out in silence.
+  rig.feed(DvRig::kWest, {{pfx("10.9.1.0/24"), 1}});
+  EXPECT_EQ(rig.dv->reachable_routes(), 1u);
+  rig.run(sim::seconds(4));
+  EXPECT_EQ(rig.dv->reachable_routes(), 0u);
+  EXPECT_EQ(rig.dv->stats().routes_expired, 1u);
 }
 
 }  // namespace

@@ -168,6 +168,7 @@ class FileModel:
     suppressions: dict[int, set[str]] = field(default_factory=dict)
     functions: list[FunctionSpan] = field(default_factory=list)
     unordered_vars: set[str] = field(default_factory=set)
+    ordered_vars: set[str] = field(default_factory=set)
     includes: list[str] = field(default_factory=list)
 
 
@@ -402,7 +403,10 @@ UNORDERED_DECL_RE = re.compile(
 POINTER_KEY_RE = re.compile(
     r"std\s*::\s*(?:unordered_)?(?:map|set|multimap|multiset)\s*<\s*"
     r"(?:const\s+)?[\w:]+(?:\s*<[^<>]*>)?\s*\*")
-RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;()]*?):\s*([^)]+)\)")
+# The loop variable's type may be qualified (std::uint32_t x : rows_):
+# the range colon is the first ':' that is not half of a '::'.
+RANGE_FOR_RE = re.compile(
+    r"\bfor\s*\(((?:[^;():]|::)*?)(?<!:):(?!:)\s*([^)]+)\)")
 BEGIN_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*(?:c?begin|c?end)\s*\(")
 ALLOC_PATTERNS = (
     (re.compile(r"(?<![\w.])new\b(?!\s*\()"), "operator new"),
@@ -437,6 +441,13 @@ def build_file_model(abspath: str, relpath: str) -> FileModel:
             r"unordered_(?:map|set|multimap|multiset)\s*<[^;{}]*>\s*"
             r"([A-Za-z_]\w*)\s*(?:;|=|\{)", code):
         model.unordered_vars.add(m.group(1))
+    # Names declared with an ordered or sequence container type: a
+    # file's own member of that kind shadows a same-named unordered
+    # member found deeper in its include closure.
+    for m in re.finditer(
+            r"std\s*::\s*(?:map|set|multimap|multiset|vector|deque|list|"
+            r"array)\s*<[^;{}]*>\s*([A-Za-z_]\w*)\s*(?:;|=|\{)", code):
+        model.ordered_vars.add(m.group(1))
     # Includes come from the RAW text: string literals are blanked in the
     # stripped code, which would erase the include path itself.
     for m in re.finditer(r'#include\s+"([^"]+)"', text):
@@ -460,22 +471,41 @@ class TokenEngine:
                 self.by_include_path[m.path[len("src/"):]] = m
         self._closure_cache: dict[str, set[str]] = {}
 
+    def _resolve(self, includer: str, include: str) -> FileModel | None:
+        # "net/arp.hpp" resolves against src/; a sibling header such as
+        # a fixture's "arp_like.hpp" against the includer's directory.
+        return self.by_include_path.get(include) or self.by_include_path.get(
+            os.path.normpath(os.path.join(os.path.dirname(includer),
+                                          include)).replace(os.sep, "/"))
+
     def unordered_names_for(self, fm: FileModel) -> set[str]:
         if fm.path in self._closure_cache:
             return self._closure_cache[fm.path]
         names: set[str] = set()
         seen: set[str] = set()
-        stack = [fm.path]
+        stack = [fm]
         while stack:
-            p = stack.pop()
-            if p in seen:
+            m = stack.pop()
+            if m.path in seen:
                 continue
-            seen.add(p)
-            m = self.by_include_path.get(p)
-            if m is None:
-                continue
+            seen.add(m.path)
             names |= m.unordered_vars
-            stack += m.includes
+            stack += [inc for inc in (self._resolve(m.path, i)
+                                      for i in m.includes) if inc]
+        # The file's own ordered/sequence members (declared in it or its
+        # same-stem header) shadow same-named unordered members that
+        # only the wider closure declares: a class walking its own
+        # vector `entries_` must not collide with net/arp.hpp's hash map
+        # of the same name.
+        own = [fm]
+        stem = os.path.splitext(fm.path)[0]
+        for ext in (".hpp", ".h"):
+            header = self.by_include_path.get(stem + ext)
+            if header is not None and header is not fm:
+                own.append(header)
+        own_ordered = set().union(*(m.ordered_vars for m in own))
+        own_unordered = set().union(*(m.unordered_vars for m in own))
+        names -= own_ordered - own_unordered
         self._closure_cache[fm.path] = names
         return names
 
