@@ -1,17 +1,21 @@
 // E10 — infrastructure micro-benchmarks: the per-packet primitive costs
 // underlying every experiment. MHRP header encode/decode, §4.1/§4.4
 // transforms, location-cache operations, the Internet checksum, IP
-// packet (de)serialization, and the event queue.
+// packet (de)serialization, the event queue, and one link delivery.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/encapsulation.hpp"
 #include "core/location_cache.hpp"
+#include "net/interface.hpp"
+#include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/udp.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_executive.hpp"
 #include "util/checksum.hpp"
 
 using namespace mhrp;
@@ -145,9 +149,7 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
     for (int i = 0; i < 16; ++i) {
       (void)q.schedule(t + (i * 7919) % 100, [] {});
     }
-    while (!q.empty()) {
-      benchmark::DoNotOptimize(q.pop());
-    }
+    while (!q.empty()) q.pop().action();
     t += 100;
   }
 }
@@ -165,7 +167,7 @@ void BM_EventQueueScheduleAndCancel(benchmark::State& state) {
       benchmark::DoNotOptimize(q.cancel(h));
     }
     (void)keep;
-    benchmark::DoNotOptimize(q.pop());
+    q.pop().action();
     t += 10000;
   }
 }
@@ -227,5 +229,41 @@ void BM_EventQueueUniqueTimes(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueUniqueTimes);
+
+// One link delivery, scheduled and fired: a 64-byte UDP frame bounces
+// across a two-member Link, each arrival sending it straight back, so
+// every delivery is one transmit, one schedule, one pop and one
+// on_frame. A run covers kHops deliveries to spread the executive's
+// per-run bookkeeping; items/s counts deliveries.
+class BounceSink final : public net::FrameSink {
+ public:
+  void on_frame(net::Interface& iface, net::Frame frame) override {
+    std::swap(frame.src, frame.dst);
+    iface.send(std::move(frame));
+  }
+};
+
+void BM_LinkDelivery(benchmark::State& state) {
+  constexpr sim::Time kLatency = sim::millis(1);
+  constexpr int kHops = 64;
+  sim::ShardedExecutive exec(1);
+  net::Link link(exec, "p2p", kLatency);
+  BounceSink sink_a;
+  BounceSink sink_b;
+  net::Interface a(sink_a, "a", 0);
+  net::Interface b(sink_b, "b", 0);
+  link.attach(a);
+  link.attach(b);
+  net::IpHeader h;
+  h.protocol = net::to_u8(net::IpProto::kUdp);
+  const std::vector<std::uint8_t> data(36, 0x42);  // 20 + 8 + 36 = 64 B
+  a.send(net::Frame{a.mac(), b.mac(),
+                    net::Packet(h, net::encode_udp({1, 2}, data))});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exec.run_until(exec.now() + kHops * kLatency));
+  }
+  state.SetItemsProcessed(state.iterations() * kHops);
+}
+BENCHMARK(BM_LinkDelivery);
 
 }  // namespace

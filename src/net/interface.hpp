@@ -72,7 +72,7 @@ class Interface {
   void send(Frame frame);
 
   /// Called by the link to hand a received frame to the owning node.
-  void deliver(Frame frame) { sink_.on_frame(*this, std::move(frame)); }
+  void deliver(Frame&& frame) { sink_.on_frame(*this, std::move(frame)); }
 
   /// Called by the link (on this interface's shard) when its carrier
   /// changes; forwards to the owning node.
